@@ -42,7 +42,10 @@ ycsb::RunResult run_one(ycsb::SystemKind kind, uint64_t keys_n,
 }
 
 int run(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {{"keys", "keys to load (default 500000)"},
+               {"ops", "ops per worker (default 400)"},
+               {"workers", "closed-loop workers (default 96)"}});
   const uint64_t num_keys = flags.get_u64("keys", 500000);
   const uint64_t ops = flags.get_u64("ops", 400);
   const uint32_t workers = static_cast<uint32_t>(flags.get_u64("workers", 96));

@@ -51,17 +51,8 @@ inline std::unique_ptr<mem::Cluster> make_cluster(
   return make_cluster_with_config(config, keys, mn_bytes_override);
 }
 
-inline ycsb::SystemKind parse_system(const std::string& name) {
-  if (name == "sphinx" || name == "Sphinx") return ycsb::SystemKind::kSphinx;
-  if (name == "sphinx-nosfc") return ycsb::SystemKind::kSphinxNoFilter;
-  if (name == "smart" || name == "SMART") return ycsb::SystemKind::kSmart;
-  if (name == "smart+c" || name == "smartc") return ycsb::SystemKind::kSmartC;
-  return ycsb::SystemKind::kArt;
-}
-
-// Validating variant: rejects unknown names instead of silently mapping
-// them to ART (parse_system's fallthrough has bitten sweep scripts that
-// typo a system and then benchmark the wrong baseline all night).
+// Rejects unknown names instead of silently mapping them to a default
+// system (a typo must not benchmark the wrong baseline all night).
 inline bool parse_system_checked(const std::string& name,
                                  ycsb::SystemKind* out) {
   if (name == "sphinx" || name == "Sphinx") {

@@ -143,7 +143,9 @@ void end_to_end_counters(uint64_t num_keys) {
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
-  sphinx::Flags flags(argc, argv);
+  sphinx::Flags flags(
+      argc, argv,
+      {{"keys", "keys for the end-to-end counters (default 300000)"}});
   benchmark::RunSpecifiedBenchmarks();
   sphinx::bench::fp_rate_sweep();
   sphinx::bench::end_to_end_counters(flags.get_u64("keys", 300000));

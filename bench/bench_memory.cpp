@@ -39,7 +39,9 @@ MemoryRow measure(ycsb::SystemKind kind, const std::vector<std::string>& keys,
 }
 
 int run(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {{"keys", "keys to load (default 1000000)"},
+               {"datasets", "csv of u64,email (default u64,email)"}});
   const uint64_t num_keys = flags.get_u64("keys", 1000000);
   const std::string datasets = flags.get_string("datasets", "u64,email");
 

@@ -15,7 +15,10 @@ namespace sphinx::bench {
 namespace {
 
 int run(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {{"keys", "keys to load (default 500000)"},
+               {"ops", "ops per worker (default 400)"},
+               {"workers", "closed-loop workers (default 24)"}});
   const uint64_t num_keys = flags.get_u64("keys", 500000);
   const uint64_t ops_per_worker = flags.get_u64("ops", 400);
   const uint32_t workers = static_cast<uint32_t>(flags.get_u64("workers", 24));

@@ -118,7 +118,21 @@ void write_json(const std::string& path, const std::vector<KneePoint>& pts) {
 }
 
 int run(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(
+      argc, argv,
+      {{"keys", "keys to load (default 1000000)"},
+       {"ops", "ops per worker (default 600)"},
+       {"workers", "csv of worker counts (default 6,12,24,48,96,192)"},
+       {"datasets", "csv of u64,email (default u64,email)"},
+       {"systems", "csv of sphinx,sphinx-nosfc,smart,smart+c,art"},
+       {"workload", "one of A-F, L or churn (default A)"},
+       {"mns", "csv of cluster widths (default 3)"},
+       {"cns", "compute nodes (default 3)"},
+       {"vnodes", "ring virtual nodes per MN (default 128)"},
+       {"pipeline-depth", "point ops in flight per worker (default 1)"},
+       {"root-replicas", "0 disables replica-routed root reads (default 1)"},
+       {"json", "write knee-curve records to this path"},
+       {"mem-budget", "per-MN heap bytes (default: sized to the keys)"}});
   const uint64_t num_keys = flags.get_u64("keys", 1000000);
   const uint64_t ops_per_worker = flags.get_u64("ops", 600);
   const uint64_t mem_budget = flags.get_u64("mem-budget", 0);

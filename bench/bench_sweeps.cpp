@@ -35,7 +35,10 @@ ycsb::RunResult run_cell(mem::Cluster& cluster, ycsb::SystemSetup& setup,
 }
 
 int run(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {{"keys", "keys to load (default 300000)"},
+               {"ops", "ops per worker (default 400)"},
+               {"workers", "closed-loop workers (default 96)"}});
   const uint64_t num_keys = flags.get_u64("keys", 300000);
   const uint64_t ops = flags.get_u64("ops", 400);
   const uint32_t workers = static_cast<uint32_t>(flags.get_u64("workers", 96));

@@ -216,7 +216,26 @@ void write_json(const std::string& path, const std::vector<JsonRecord>& recs) {
 }
 
 int run(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(
+      argc, argv,
+      {{"keys", "keys to load (default 1000000)"},
+       {"ops", "ops per worker (default 600)"},
+       {"workers", "closed-loop workers (default 192)"},
+       {"datasets", "csv of u64,email (default u64,email)"},
+       {"workloads", "letters A-F, L and/or csv with churn (default ABCDEL)"},
+       {"warmup", "run a warm-up phase first (default 1)"},
+       {"mem-budget", "per-MN heap bytes (default: sized to the keys)"},
+       {"faults", "background fault rate per verb (default 0)"},
+       {"crash-rate", "client crash probability per tagged verb"},
+       {"fault-seed", "fault schedule seed (default 42)"},
+       {"json", "write one record per (system, dataset, workload)"},
+       {"trace", "write a Chrome trace of sampled ops"},
+       {"pec-budget", "Sphinx prefix entry cache bytes"},
+       {"no-pec", "disable the prefix entry cache"},
+       {"lac-budget", "Sphinx leaf address cache bytes"},
+       {"no-lac", "disable the leaf address cache"},
+       {"no-scan-jump", "enter scans at the root"},
+       {"pipeline-depth", "csv of pipeline depths (default 1)"}});
   const uint64_t num_keys = flags.get_u64("keys", 1000000);
   const uint64_t ops_per_worker = flags.get_u64("ops", 600);
   const uint32_t workers = static_cast<uint32_t>(flags.get_u64("workers", 192));

@@ -23,7 +23,10 @@
 using namespace sphinx;
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {{"users", "directory entries to load (default 200000)"},
+               {"lookups", "lookups per client (default 30000)"},
+               {"clients", "concurrent clients (default 6)"}});
   const uint64_t users = flags.get_u64("users", 200000);
   const uint64_t lookups = flags.get_u64("lookups", 30000);
   const uint32_t clients = static_cast<uint32_t>(flags.get_u64("clients", 6));

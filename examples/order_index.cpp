@@ -31,7 +31,9 @@ std::string make_status(const char* state, uint64_t ts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {{"orders", "orders to load (default 100000)"},
+               {"pages", "range-scan pages to read (default 2000)"}});
   const uint64_t num_orders = flags.get_u64("orders", 100000);
   const uint64_t pages = flags.get_u64("pages", 2000);
 

@@ -15,7 +15,10 @@
 using namespace sphinx;
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {{"keys", "keys to load (default 200000)"},
+               {"ops", "ops per worker (default 400)"},
+               {"workers", "closed-loop workers (default 48)"}});
   const uint64_t num_keys = flags.get_u64("keys", 200000);
   const uint64_t ops = flags.get_u64("ops", 400);
   const uint32_t workers = static_cast<uint32_t>(flags.get_u64("workers", 48));

@@ -162,6 +162,13 @@ class RemoteTree : public KvIndex {
     kTimedOut,          // per-op retry budget exhausted (RetryPolicy)
   };
 
+  // The read a resumable descent waits for (Descent::await).
+  enum class Await : uint8_t {
+    kNone,   // nothing: the walk has finished and `status` is final
+    kInner,  // path.back().image, from fetch_addr (the root or a child)
+    kLeaf,   // leaf, from leaf_addr
+  };
+
   struct Descent {
     DescendStatus status = DescendStatus::kNeedRetry;
     bool from_custom_start = false;
@@ -175,7 +182,16 @@ class RemoteTree : public KvIndex {
                                   // kFoundInvalidLeaf
     rdma::GlobalAddr leaf_addr;
     uint32_t cpl = 0;             // common prefix len for kLeafMismatch
+    // Cursor state (see descend_step).
+    Await await = Await::kNone;
+    rdma::GlobalAddr fetch_addr;  // kInner: where path.back() is read from
+    NodeType fetch_type = NodeType::kN256;  // kInner: the type claimed
+    uint32_t leaf_units = 0;      // kLeaf: block size
+    uint32_t leaf_reads = 0;      // kLeaf: torn reads of this block so far
   };
+
+  // Outcome of one search attempt's descent.
+  enum class SearchVerdict { kHit, kMiss, kRetry };
 
   // ---- subclass hooks -------------------------------------------------------
 
@@ -306,6 +322,38 @@ class RemoteTree : public KvIndex {
   // the one authoritative root.
   Descent& descend(const TerminatedKey& key, bool allow_custom_start,
                    bool allow_replica_root = false);
+
+  // ---- resumable descent ----------------------------------------------------
+  // descend() drives one cursor over these steps; a pipelined client drives
+  // many in lock-step, posting every cursor's next read into one doorbell
+  // batch. A walk starts from a path holding one entry: either a verified
+  // start node (await == kNone, processed by the first descend_step) or
+  // the root, set up by enter_root().
+
+  // Clears `d` for a new walk (the path is left empty).
+  static void reset_descent(Descent& d);
+  // Points d.path.back() at the root and waits for its image (a
+  // round-robin replica when `allow_replica_root`; see descend()).
+  void enter_root(Descent& d, bool allow_replica_root);
+  // Posts the read `d` waits for and returns its phase. The read goes
+  // straight to remote memory, bypassing fetch_inner(): only for trees that
+  // do not interpose on inner fetches.
+  rdma::Phase plan_descent_read(Descent& d, rdma::DoorbellBatch& batch);
+  // Consumes the read `d` waited for (or, right after a custom start, the
+  // start node) and names the next one. await == kNone on return means the
+  // walk is over and d.status is final.
+  void descend_step(const TerminatedKey& key, Descent& d);
+
+  // The search-side judgement of one attempt's finished descent: kHit
+  // fills *value_out and feeds note_leaf_at; kRetry updates *allow_custom
+  // and the retry counters. Shared by search_retry and batched clients.
+  SearchVerdict search_verdict(Descent& d, uint32_t attempt,
+                               bool* allow_custom, std::string* value_out);
+  // search()'s retry loop from attempt `first_attempt` on (only attempt 0
+  // may enter through a root replica). A batched client whose first
+  // attempt ran in lock-step resumes here at attempt 1.
+  bool search_retry(const TerminatedKey& key, std::string* value_out,
+                    uint32_t first_attempt, bool allow_custom);
 
   // Memory node placement (consistent hashing, Sec. III).
   uint32_t mn_for_prefix(uint64_t hash) const {

@@ -92,9 +92,9 @@ struct SphinxStats {
   uint64_t lac_fused_losses = 0; // stale leaf; fused inner seeded fallback
   uint64_t lac_wrong_value = 0;  // 1-RTT return failed final audit (== 0!)
   uint64_t batch_ops = 0;           // point ops entering execute_batch
-  uint64_t batch_fused_ops = 0;     // ops completed by a shared fused round
-  uint64_t batch_fused_rounds = 0;  // cross-op doorbell round trips issued
-  uint64_t batch_serial_ops = 0;    // batch ops resolved by serial fallback
+  uint64_t batch_fused_ops = 0;     // ops finished in the lock-step rounds
+  uint64_t batch_fused_rounds = 0;  // lock-step round trips (hit + miss)
+  uint64_t batch_serial_ops = 0;    // mutations + anomalous searches
 
   SphinxStats& operator+=(const SphinxStats& o);
 };
@@ -147,24 +147,29 @@ class SphinxIndex final : public art::RemoteTree {
 
   const char* name() const override { return "Sphinx"; }
 
-  // Point-read fast path: on a LAC hit the leaf is read speculatively (one
-  // round trip, doorbell-fused with a PEC-hinted fallback inner read when
-  // the entry is cold) and validated in hand; misses and stale entries fall
-  // back to the normal SFC/PEC/INHT search. With no LAC installed this is
-  // bit-identical to RemoteTree::search.
+  // Point read: a batch of one through the same cursor execute_batch runs
+  // (see there). With no LAC installed this issues exactly
+  // RemoteTree::search's verbs.
   bool search(Slice key, std::string* value_out) override;
 
-  // Pipelined multi-op execution with cross-op doorbell fusion: every
-  // search op's LAC probe (and, for cold hits, the PEC-hinted fallback
-  // inner-node plan) runs locally up front, then ALL speculative leaf
-  // reads -- plus the cold hits' fused inner reads -- issue in ONE shared
-  // DoorbellBatch round trip. K warm hits thus cost 1 RTT instead of K.
-  // Each op is then validated exactly like the single-op fast path (unit
-  // count, CRC, liveness, byte-exact key compare, lac_wrong_value audit);
-  // misses, stale bindings and mutations fall back to the serial entry
-  // points in batch order, a stale cold hit's validated fused inner read
-  // seeding its fallback descent for 0 extra RTTs. With no LAC installed
-  // (or a single-op batch) this is the plain serial loop.
+  // Pipelined multi-op execution. Every search op runs one resumable point
+  // read, and all of them advance in lock-step rounds:
+  //   1. probe: the LAC is probed locally for every search (cold hits also
+  //      plan a PEC-hinted fallback inner read);
+  //   2. hit round: ALL hits' speculative leaf reads, plus the cold hits'
+  //      fused inner reads, in ONE doorbell round trip; each leaf is then
+  //      validated (unit count, CRC, liveness, byte-exact key compare,
+  //      lac_wrong_value audit). K warm hits cost 1 RTT instead of K;
+  //   3. miss rounds: misses and stale hits plan their start-node search
+  //      (prefix hashing, SFC/PEC probes) only now, so hits complete at
+  //      the same virtual time; then every round posts each op's next
+  //      read -- INHT entry, start node, inner node or leaf -- in ONE
+  //      doorbell batch, charged whole to the phase of its first read.
+  //      A stale hit whose fused inner read validated starts there;
+  //   4. serial pass, in batch order: mutations, and searches that hit an
+  //      anomaly (torn or invalid node, a miss that must be re-checked
+  //      from the root, exhausted budget) resume RemoteTree's serial retry
+  //      loop at attempt 1.
   void execute_batch(BatchOp* ops, size_t count) override;
 
   const SphinxStats& sphinx_stats() const { return sstats_; }
@@ -280,30 +285,125 @@ class SphinxIndex final : public art::RemoteTree {
   }
 
  private:
-  // Shared body of find_start/find_scan_start: longest verified prefix of
-  // `key` no longer than `max_len`, tried filter-first. Bumps the shared
-  // path counters (filter/PEC/parallel) but not the outcome counters --
-  // those belong to the wrappers.
+  // ---- resumable start search ---------------------------------------------
+  // The SFC -> PEC/INHT search for a descent's start node as a cursor, so
+  // one op's search can share round trips with other ops' reads. Local
+  // work (prefix hashing, filter and PEC probes) runs eagerly up to the
+  // next remote read; plan_start_read() posts that read, start_resolve()
+  // consumes it. A filter false positive moves on to the next shorter
+  // prefix inside the same cursor.
+  struct StartCursor {
+    enum class Mode : uint8_t {
+      kFilter,    // longest filter hit first, then shorter ones
+      kPecOnly,   // no filter: the PEC doubles as the existence hint
+      kParallel,  // every prefix's INHT group in one round trip
+    };
+    enum class Await : uint8_t {
+      kNone,       // finished: `found` holds the outcome
+      kPecNode,    // hot PEC hit: the claimed node
+      kPecFused,   // cold PEC hit: the claimed node + the INHT group
+      kInht,       // INHT entry of prefix `len`
+      kCandidate,  // node named by payloads[next_payload - 1]
+      kGroups,     // INHT groups of every prefix (Mode::kParallel)
+    };
+    PathEntry* out = nullptr;  // node reads land in out->image
+    uint32_t max_len = 0;
+    uint32_t len = 0;  // prefix length being tried
+    Mode mode = Mode::kParallel;
+    Await await = Await::kNone;
+    bool found = false;
+    art::NodeType type = art::NodeType::kN4;  // node claimed at `addr`
+    rdma::GlobalAddr addr;
+    std::vector<uint64_t> hashes;  // prefix hashes, [1 .. max_len]
+    std::vector<uint64_t> payloads;  // INHT candidates for prefix `len`
+    size_t next_payload = 0;
+    race::RaceClient::SearchRead inht;
+    std::array<uint64_t, race::kSlotsPerGroup> fused_group{};
+    std::vector<std::array<uint64_t, race::kSlotsPerGroup>> groups;
+  };
+
+  // Starts a search for the longest verified prefix of `key` no longer
+  // than `max_len`, with node reads landing in *out. Bumps the shared path
+  // counters (filter/PEC/parallel) but not the outcome counters -- those
+  // belong to the callers.
+  void start_begin(StartCursor& c, const art::TerminatedKey& key,
+                   uint32_t max_len, PathEntry* out);
+  rdma::Phase plan_start_read(StartCursor& c, rdma::DoorbellBatch& batch);
+  void start_resolve(StartCursor& c);
+  // Local work from the current prefix length down to the next read.
+  void start_advance(StartCursor& c);
+  // PEC probe for prefix c.len; plans the node read on a hit, else the
+  // INHT read when `inht_on_miss`. Returns whether a read was planned.
+  bool plan_try_at(StartCursor& c, bool inht_on_miss);
+  void plan_inht(StartCursor& c);
+  // Plans the next INHT candidate's node read, or moves on once prefix
+  // c.len has none left.
+  void adopt_next(StartCursor& c);
+  // Mode::kParallel: the next shorter prefix whose group has candidates.
+  void parallel_next(StartCursor& c);
+  // Drives one start cursor synchronously (find_start/find_scan_start).
   bool start_search(const art::TerminatedKey& key, uint32_t max_len,
                     PathEntry* out);
 
   // Validates the node freshly fetched into out->image against what the
-  // hash entry (or PEC) claimed, completing *out on success. Shared by the
-  // INHT candidate loop and the PEC speculative paths.
+  // hash entry (or PEC) claimed, completing *out on success.
   bool validate_start(uint32_t len, uint64_t hash, art::NodeType type,
                       rdma::GlobalAddr addr, PathEntry* out);
 
-  // Validates INHT candidates for prefix length `len` and fills *out with
-  // the first verified node (feeding the PEC on success).
-  bool adopt_candidate(uint32_t len, uint64_t hash,
-                       const std::vector<uint64_t>& payloads, PathEntry* out);
+  // ---- resumable point read ------------------------------------------------
+  // One search op's cursor: LAC probe -> hit round -> start search (or the
+  // stale hit's fused inner node) -> descent. Reused across batches (grown
+  // once to the pipeline depth, never shrunk), so steady state is
+  // allocation-free.
+  struct PointRead {
+    enum class Stage : uint8_t {
+      kIdle,   // nothing in flight: not a search, or op.done
+      kStart,  // start cursor in flight
+      kWalk,   // descent in flight
+      kRetry,  // anomaly: the serial retry loop finishes the op
+    };
+    Stage stage = Stage::kIdle;
+    std::optional<art::TerminatedKey> key;
+    bool allow_custom = true;  // serial retry state after an anomaly
+    // LAC stage.
+    bool lac_hit = false;
+    bool hot = false;
+    bool pending = false;  // stale hit, but the fused inner node validated
+    uint64_t full_hash = 0;
+    uint32_t units = 0;
+    rdma::GlobalAddr leaf_addr;
+    uint32_t hedge_len = 0;  // fused inner read's prefix (0 = none)
+    uint64_t hedge_hash = 0;
+    uint64_t hedge_payload = 0;
+    StartCursor start;
+    Descent walk;  // the LAC leaf and fused inner node land here too
 
-  // One shortcut attempt at prefix length `len`: PEC probe (speculative
-  // node read, doorbell-fused with the INHT group read when the entry is
-  // cold), then -- on a PEC miss with `inht_on_miss`, or after a stale hot
-  // entry -- the INHT hash-entry read.
-  bool try_start_at(uint32_t len, uint64_t hash, bool inht_on_miss,
-                    PathEntry* out);
+    // Whether the op waits for a read of the current round.
+    bool awaiting() const {
+      return (stage == Stage::kStart &&
+              start.await != StartCursor::Await::kNone) ||
+             (stage == Stage::kWalk && walk.await != Await::kNone);
+    }
+  };
+
+  // Runs the search ops of ops[0..count) through their point reads in
+  // lock-step rounds (stages 1-3 of execute_batch); returns the number of
+  // round trips the rounds took. Ops left !done have stage kRetry.
+  size_t run_reads(BatchOp* ops, size_t count);
+  // Stage 1 for one op: LAC probe and, for a cold hit, the hedge plan.
+  void probe_lac(PointRead& r);
+  // Validates a hit's speculative leaf; a stale one may leave a validated
+  // start node behind (r.pending).
+  void finish_lac(PointRead& r, BatchOp& op);
+  // Plans a miss's first read (start search, or the pending start node).
+  void begin_point_read(PointRead& r, BatchOp& op);
+  // The start search is over: walk from the start node (`found`) or from
+  // the root.
+  void start_done(PointRead& r, BatchOp& op, bool found);
+  void walk_done(PointRead& r, BatchOp& op);
+  // An anomalous search's serial finish: the retry loop from attempt 1.
+  void retry_serially(BatchOp& op, const PointRead& r);
+  void finish_op(BatchOp& op, bool ok);
 
   InhtClient inht_;
   filter::CuckooFilter* filter_;
@@ -311,38 +411,9 @@ class SphinxIndex final : public art::RemoteTree {
   filter::LeafAddressCache* lac_;
   SphinxConfig config_;
   SphinxStats sstats_;
-  std::vector<uint64_t> hash_scratch_;
-  std::vector<uint64_t> payload_scratch_;
-  // Per-descent scratch for the parallel multi-prefix INHT read and the
-  // fused speculative read (reused across operations; no per-op allocs).
-  std::vector<std::array<uint64_t, race::kSlotsPerGroup>> group_scratch_;
-  std::array<uint64_t, race::kSlotsPerGroup> fused_group_;
-  // LAC fast-path scratch: the speculative leaf image, and -- when a stale
-  // cold hit's fused inner read validated -- a pending descent start the
-  // immediately following fallback search consumes through find_start(),
-  // making the rescue read free (0 extra RTTs).
-  art::LeafImage lac_leaf_;
-  PathEntry pending_start_;
-  bool have_pending_start_ = false;
-  // Per-op state for execute_batch's resumable machine (reused across
-  // batches; grown once to the pipeline depth, never shrunk, so steady
-  // state is allocation-free). Each slot mirrors exactly the locals the
-  // single-op fast path keeps on its stack.
-  struct BatchSlot {
-    std::optional<art::TerminatedKey> key;
-    uint64_t full_hash = 0;
-    uint32_t units = 0;
-    rdma::GlobalAddr leaf_addr;
-    bool hot = false;
-    bool fused = false;    // op rides the shared speculative round trip
-    bool pending = false;  // stale leaf, but fused inner read validated
-    uint32_t fused_len = 0;
-    uint64_t fused_hash = 0;
-    uint64_t fused_payload = 0;
-    art::LeafImage leaf;
-    PathEntry inner;  // fused inner read lands here
-  };
-  std::vector<BatchSlot> batch_slots_;
+  std::vector<uint64_t> hash_scratch_;  // cold LAC hits' prefix hashes
+  StartCursor start_cursor_;  // find_start/find_scan_start's cursor
+  std::vector<PointRead> reads_;
 };
 
 }  // namespace sphinx::core

@@ -122,25 +122,32 @@ void RaceClient::match_group(uint64_t hash,
 
 void RaceClient::search(uint64_t hash, std::vector<uint64_t>& payloads_out) {
   rdma::PhaseScope phase(endpoint_, rdma::Phase::kInhtRead);
-  stats_.searches++;
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    if (dir_cache_.empty()) refresh_directory();
-    const uint64_t seg_offset = dir_cache_[dir_index(hash)];
-    // Header + group in one doorbell batch: one round trip, two messages.
-    uint64_t header = 0;
-    uint64_t group[kSlotsPerGroup];
+  SearchRead s;
+  begin_search(s, hash);
+  do {
     rdma::DoorbellBatch batch(endpoint_);
-    batch.add_read(rdma::GlobalAddr(table_.mn, seg_offset), &header, 8);
-    batch.add_read(group_addr(seg_offset, hash), group, sizeof(group));
+    plan_search(s, batch);
     batch.execute();
-    const uint8_t ld = hdr_ld(header);
-    if (suffix_of(hash, ld) != hdr_suffix(header)) {
-      refresh_directory();  // stale cache: the segment split/moved
-      continue;
-    }
-    match_group(hash, group, payloads_out);
-    return;
+  } while (!finish_search(s, payloads_out));
+}
+
+void RaceClient::plan_search(SearchRead& s, rdma::DoorbellBatch& batch) {
+  if (dir_cache_.empty()) refresh_directory();
+  const uint64_t seg_offset = dir_cache_[dir_index(s.hash)];
+  // Header + group in one doorbell batch: one round trip, two messages.
+  batch.add_read(rdma::GlobalAddr(table_.mn, seg_offset), &s.header, 8);
+  batch.add_read(group_addr(seg_offset, s.hash), s.group, sizeof(s.group));
+}
+
+bool RaceClient::finish_search(SearchRead& s,
+                               std::vector<uint64_t>& payloads_out) {
+  const uint8_t ld = hdr_ld(s.header);
+  if (suffix_of(s.hash, ld) != hdr_suffix(s.header)) {
+    refresh_directory();  // stale cache: the segment split/moved
+    return ++s.attempt >= 3;
   }
+  match_group(s.hash, s.group, payloads_out);
+  return true;
 }
 
 bool RaceClient::insert(uint64_t hash, uint64_t payload) {

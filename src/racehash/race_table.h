@@ -110,6 +110,26 @@ class RaceClient {
   // payloads (usually 0 or 1).
   void search(uint64_t hash, std::vector<uint64_t>& payloads_out);
 
+  // search() in resumable form, so probes of several ops can share one
+  // doorbell batch: begin_search() once, then plan_search() posts the
+  // segment header + group reads and finish_search() parses them. A false
+  // return from finish_search means the segment moved under the cached
+  // directory; the directory has been re-read and the probe must be posted
+  // again (search() gives up after three such attempts, with no payloads).
+  struct SearchRead {
+    uint64_t hash = 0;
+    uint32_t attempt = 0;
+    uint64_t header = 0;
+    uint64_t group[kSlotsPerGroup] = {};
+  };
+  void begin_search(SearchRead& s, uint64_t hash) {
+    s.hash = hash;
+    s.attempt = 0;
+    stats_.searches++;
+  }
+  void plan_search(SearchRead& s, rdma::DoorbellBatch& batch);
+  bool finish_search(SearchRead& s, std::vector<uint64_t>& payloads_out);
+
   // Inserts (hash -> payload). Returns false only if the table failed to
   // make room (pathological). Duplicate suppression is the caller's job.
   bool insert(uint64_t hash, uint64_t payload);

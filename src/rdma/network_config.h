@@ -34,7 +34,7 @@ struct NetworkConfig {
   uint64_t post_verb_ns = 80;
 
   // Number of compute-node NICs (paper: 3 CNs) and memory-node NICs
-  // (paper: 3 MNs). Used to size the shared NIC clocks.
+  // (paper: 3 MNs).
   uint32_t num_cns = 3;
   uint32_t num_mns = 3;
 

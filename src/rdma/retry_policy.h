@@ -45,8 +45,7 @@ struct RetryPolicyConfig {
 
 // Lease length in the *waiter's* virtual time: well above a live holder's
 // critical section (a handful of verbs for updates, tens of microseconds
-// for a split, even with injected delays -- and NIC clock sharing keeps
-// waiter and holder timelines comparable), small enough that a waiter
+// for a split, even with injected delays), small enough that a waiter
 // accumulates it within its attempt budget.
 constexpr uint64_t kLeaseVirtualNs = 500'000;  // 0.5 ms
 // Real-time floor before declaring expiry: a live-but-descheduled holder

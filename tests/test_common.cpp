@@ -4,8 +4,11 @@
 
 #include <map>
 #include <set>
+#include <sstream>
+#include <vector>
 
 #include "common/dist.h"
+#include "common/flags.h"
 #include "common/hash.h"
 #include "common/histogram.h"
 #include "common/rng.h"
@@ -268,6 +271,55 @@ TEST(TablePrinter, Formatters) {
   EXPECT_EQ(TablePrinter::fmt_us(2130), "2.13 us");
   EXPECT_EQ(TablePrinter::fmt_ratio(2.4), "2.40x");
   EXPECT_EQ(TablePrinter::fmt_percent(0.033), "3.30%");
+}
+
+// ---- Flags ----------------------------------------------------------------
+
+// Runs Flags over `args` (argv[0] is prepended) with two declared flags.
+Flags parse_flags(std::vector<std::string> args) {
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return Flags(static_cast<int>(argv.size()), argv.data(),
+               {{"keys", "keys to load"}, {"no-lac", "disable the LAC"}});
+}
+
+TEST(Flags, DeclaredFlagsParse) {
+  const Flags f = parse_flags({"--keys=42", "--no-lac"});
+  EXPECT_EQ(f.get_u64("keys", 7), 42u);
+  EXPECT_TRUE(f.get_bool("no-lac", false));
+  EXPECT_TRUE(f.has("keys"));
+  const Flags defaults = parse_flags({});
+  EXPECT_EQ(defaults.get_u64("keys", 7), 7u);
+  EXPECT_FALSE(defaults.has("no-lac"));
+}
+
+TEST(Flags, UnknownFlagExitsTwoNamingIt) {
+  // The failure this guards against: "--systems=sphinx" on a binary that
+  // has no such flag silently ran the full default suite.
+  EXPECT_EXIT(parse_flags({"--keys=1", "--systems=sphinx"}),
+              ::testing::ExitedWithCode(2), "unknown flag --systems");
+  EXPECT_EXIT(parse_flags({"keys=1"}), ::testing::ExitedWithCode(2),
+              "unrecognized argument: keys=1");
+}
+
+TEST(Flags, BadValueExitsTwo) {
+  EXPECT_EXIT(parse_flags({"--keys=12x"}).get_u64("keys", 0),
+              ::testing::ExitedWithCode(2), "--keys: expected an unsigned");
+}
+
+TEST(Flags, HelpListsDeclaredFlags) {
+  EXPECT_EXIT(parse_flags({"--help"}), ::testing::ExitedWithCode(0), "");
+  std::ostringstream os;
+  parse_flags({}).print_help(os);
+  EXPECT_NE(os.str().find("--keys"), std::string::npos);
+  EXPECT_NE(os.str().find("keys to load"), std::string::npos);
+  EXPECT_NE(os.str().find("--no-lac"), std::string::npos);
+}
+
+TEST(Flags, ReadingAnUndeclaredFlagIsABug) {
+  EXPECT_DEATH(parse_flags({}).get_u64("workers", 1),
+               "--workers is read but not declared");
 }
 
 }  // namespace

@@ -213,17 +213,6 @@ TEST(DoorbellBatch, DisabledBatchingCostsPerVerb) {
   EXPECT_EQ(ep.stats().round_trips, 8u);
 }
 
-TEST(NicClock, SerializesConcurrentReservations) {
-  NicClock nic;
-  const uint64_t s1 = nic.reserve(0, 100);
-  const uint64_t s2 = nic.reserve(0, 100);
-  EXPECT_EQ(s1, 0u);
-  EXPECT_EQ(s2, 100u);
-  // A reservation in the future starts at its earliest time.
-  const uint64_t s3 = nic.reserve(10000, 50);
-  EXPECT_EQ(s3, 10000u);
-}
-
 TEST(Endpoint, TimelinesIndependentAndDeterministic) {
   // Unloaded virtual clocks must not couple across endpoints (queueing is
   // applied analytically by the runner), so concurrent clients report
@@ -248,15 +237,6 @@ TEST(Endpoint, TimelinesIndependentAndDeterministic) {
   ep.read64(GlobalAddr(1, 64));
   EXPECT_EQ(ep.stats().msgs_per_mn[1], 1u);
   EXPECT_EQ(ep.stats().bytes_per_mn[1], 8u);
-}
-
-TEST(Fabric, ClockResetDoesNotTouchMemory) {
-  Fabric fabric(small_config(), 1 << 20);
-  Endpoint ep(fabric, 0);
-  ep.write64(GlobalAddr(0, 888), 31337);
-  fabric.reset_clocks();
-  EXPECT_EQ(fabric.mn_nic(0).busy_until(), 0u);
-  EXPECT_EQ(ep.read64(GlobalAddr(0, 888)), 31337u);
 }
 
 TEST(EndpointStats, ArithmeticWorks) {

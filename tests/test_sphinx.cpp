@@ -3,6 +3,7 @@
 // paths, type-switch coherence, and oracle semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 
@@ -479,6 +480,258 @@ TEST_F(SphinxTest, InhtMemoryOverheadIsSmall) {
       stats.requested_bytes(mem::AllocTag::kHashTable);
   EXPECT_LT(static_cast<double>(table_bytes),
             0.25 * static_cast<double>(tree_bytes));
+}
+
+// ---- pipelined point reads (execute_batch lock-step rounds) ----------------
+
+// A world with one Sphinx instance: a reader client (optionally with
+// starved CN caches) and a cache-less mutator on its own endpoint that
+// changes the tree behind the reader's back. Everything is single-threaded,
+// so two worlds built the same way hold the same remote layout.
+struct PipelineWorld {
+  explicit PipelineWorld(uint64_t cache_budget) {
+    cluster = testing::make_test_cluster();
+    refs = create_sphinx(*cluster);
+    if (cache_budget > 0) {
+      filter = filter::CuckooFilter::with_budget(cache_budget);
+      pec = filter::PrefixEntryCache::with_budget(cache_budget);
+      lac = filter::LeafAddressCache::with_budget(cache_budget);
+    }
+    reader_ep = std::make_unique<rdma::Endpoint>(cluster->fabric(), 0, true);
+    reader_alloc = std::make_unique<mem::RemoteAllocator>(*cluster, *reader_ep);
+    reader = std::make_unique<SphinxIndex>(*cluster, *reader_ep, *reader_alloc,
+                                           refs, filter.get(), pec.get(),
+                                           lac.get());
+    mutator_ep = std::make_unique<rdma::Endpoint>(cluster->fabric(), 1, true);
+    mutator_alloc =
+        std::make_unique<mem::RemoteAllocator>(*cluster, *mutator_ep);
+    mutator = std::make_unique<SphinxIndex>(*cluster, *mutator_ep,
+                                            *mutator_alloc, refs, nullptr);
+  }
+
+  std::unique_ptr<mem::Cluster> cluster;
+  SphinxRefs refs;
+  std::unique_ptr<filter::CuckooFilter> filter;
+  std::unique_ptr<filter::PrefixEntryCache> pec;
+  std::unique_ptr<filter::LeafAddressCache> lac;
+  std::unique_ptr<rdma::Endpoint> reader_ep;
+  std::unique_ptr<mem::RemoteAllocator> reader_alloc;
+  std::unique_ptr<SphinxIndex> reader;
+  std::unique_ptr<rdma::Endpoint> mutator_ep;
+  std::unique_ptr<mem::RemoteAllocator> mutator_alloc;
+  std::unique_ptr<SphinxIndex> mutator;
+};
+
+BatchOp search_op(const std::string& key, std::string* out) {
+  BatchOp op;
+  op.kind = BatchOp::Kind::kSearch;
+  op.key = Slice(key);
+  op.value_out = out;
+  return op;
+}
+
+TEST(PipelinedReads, BatchesMatchSerialOutcomesUnderStarvedCaches) {
+  // Tiny SFC/PEC/LAC budgets keep every cache tier evicting, so depth-8
+  // batches run every miss path: filter false positives, stale PEC and LAC
+  // entries (removes, out-of-place updates, type switches mid-run) and
+  // plain misses. Each batch op must report what the serial entry point
+  // reports, and both must match the oracle.
+  PipelineWorld w(/*cache_budget=*/512);
+  std::map<std::string, std::string> oracle;
+  const auto keys = testing::mixed_keys(700, 3);
+  for (size_t i = 0; i < 300; ++i) {
+    ASSERT_TRUE(w.mutator->insert(keys[i], "v0:" + keys[i]));
+    oracle[keys[i]] = "v0:" + keys[i];
+  }
+  Rng rng(41);
+  const uint64_t switches_before = w.mutator->tree_stats().type_switches;
+  std::vector<std::string> picked(8);
+  std::vector<std::string> outs(8);
+  for (int round = 0; round < 300; ++round) {
+    // Mutations behind the reader's back: inserts grow nodes (splits and
+    // type switches), removes and updates stale the reader's cached
+    // bindings.
+    for (int m = 0; m < 4; ++m) {
+      const std::string& k = keys[rng.next_below(keys.size())];
+      const std::string v = "v" + std::to_string(round) + ":" + k;
+      switch (rng.next_below(3)) {
+        case 0:
+          ASSERT_EQ(w.mutator->insert(k, v), oracle.emplace(k, v).second);
+          break;
+        case 1:
+          ASSERT_EQ(w.mutator->remove(k), oracle.erase(k) > 0);
+          break;
+        default: {
+          const bool live = oracle.count(k) > 0;
+          ASSERT_EQ(w.mutator->update(k, v + std::string(round % 40, 'x')),
+                    live);
+          if (live) oracle[k] = v + std::string(round % 40, 'x');
+          break;
+        }
+      }
+    }
+    // Six searches (about four of live keys) and two of the reader's own
+    // mutations, all on distinct keys: ops of one batch may linearize in
+    // any order, so no two of them touch the same key.
+    // The two mutations take random slots, so a slot that held a search
+    // in an earlier batch carries a mutation in a later one.
+    const size_t m1 = rng.next_below(8);
+    const size_t m2 = (m1 + 1 + rng.next_below(7)) % 8;
+    std::vector<BatchOp> batch;
+    std::vector<std::string> values(8);
+    for (size_t i = 0; i < 8; ++i) {
+      do {
+        picked[i] = keys[rng.next_below(keys.size())];
+        if (i < 4) {
+          const auto it = oracle.lower_bound(picked[i]);
+          if (it != oracle.end()) picked[i] = it->first;
+        }
+      } while (std::find(picked.begin(), picked.begin() + i, picked[i]) !=
+               picked.begin() + i);
+      outs[i].clear();
+      batch.push_back(search_op(picked[i], &outs[i]));
+      if (i == m1 || i == m2) {
+        values[i] = "b" + std::to_string(round);
+        const bool key_live = oracle.count(picked[i]) > 0;
+        batch[i].kind = rng.next_below(2) == 0 ? BatchOp::Kind::kRemove
+                        : key_live             ? BatchOp::Kind::kUpdate
+                                               : BatchOp::Kind::kInsert;
+        batch[i].value = Slice(values[i]);
+      }
+    }
+    w.reader->execute_batch(batch.data(), batch.size());
+    for (size_t i = 0; i < 8; ++i) {
+      const auto it = oracle.find(picked[i]);
+      const bool live_before = it != oracle.end();
+      ASSERT_TRUE(batch[i].done);
+      switch (batch[i].kind) {
+        case BatchOp::Kind::kRemove:
+          ASSERT_EQ(batch[i].ok, live_before) << picked[i];
+          oracle.erase(picked[i]);
+          break;
+        case BatchOp::Kind::kInsert:
+        case BatchOp::Kind::kUpdate:
+          ASSERT_TRUE(batch[i].ok) << picked[i];
+          oracle[picked[i]] = values[i];
+          break;
+        default: {
+          ASSERT_EQ(batch[i].ok, live_before) << picked[i];
+          std::string serial;
+          ASSERT_EQ(w.reader->search(picked[i], &serial), batch[i].ok);
+          if (batch[i].ok) {
+            EXPECT_EQ(outs[i], it->second);
+            EXPECT_EQ(serial, it->second);
+          }
+        }
+      }
+    }
+  }
+  const SphinxStats& s = w.reader->sphinx_stats();
+  EXPECT_GT(s.fp_rejects, 0u);
+  EXPECT_GT(s.pec_stale, 0u);
+  EXPECT_GT(s.lac_stale, 0u);
+  EXPECT_GT(s.batch_fused_ops, s.batch_serial_ops);
+  EXPECT_GT(w.mutator->tree_stats().type_switches, switches_before);
+  EXPECT_EQ(s.lac_wrong_value, 0u);
+  EXPECT_EQ(w.reader->tree_stats().ops_failed, 0u);
+  const rdma::EndpointStats& net = w.reader_ep->stats();
+  EXPECT_EQ(net.rtts_sum_by_phase(), net.round_trips);
+  EXPECT_EQ(net.bytes_sum_by_phase(), net.bytes_total());
+}
+
+TEST(PipelinedReads, ColdMissBatchCostsLongestChainNotSum) {
+  // With no CN caches, every search walks parallel INHT read -> start node
+  // -> inner nodes -> leaf, and its chain does not depend on what other
+  // searches ran before it. Serially the chains add up; in lock-step
+  // rounds a batch costs at most one round more than its longest chain.
+  PipelineWorld w(/*cache_budget=*/0);
+  const auto keys = ycsb::generate_email_keys(2000, 5);
+  for (const auto& k : keys) ASSERT_TRUE(w.mutator->insert(k, "v"));
+  std::string v;
+  // Warm the INHT directory caches of both clients used below.
+  rdma::Endpoint ep2(w.cluster->fabric(), 0, true);
+  mem::RemoteAllocator alloc2(*w.cluster, ep2);
+  SphinxIndex serial(*w.cluster, ep2, alloc2, w.refs, nullptr);
+  for (size_t i = 0; i < 50; ++i) {
+    ASSERT_TRUE(w.reader->search(keys[i], &v));
+    ASSERT_TRUE(serial.search(keys[i], &v));
+  }
+
+  uint64_t longest = 0;
+  uint64_t total = 0;
+  std::vector<std::string> outs(8);
+  std::vector<BatchOp> batch;
+  for (size_t i = 0; i < 8; ++i) {
+    const std::string& k = keys[1000 + 97 * i];
+    const uint64_t before = ep2.stats().round_trips;
+    ASSERT_TRUE(serial.search(k, &v));
+    const uint64_t chain = ep2.stats().round_trips - before;
+    longest = std::max(longest, chain);
+    total += chain;
+    batch.push_back(search_op(k, &outs[i]));
+  }
+  const rdma::EndpointStats before = w.reader_ep->stats();
+  w.reader->execute_batch(batch.data(), batch.size());
+  const rdma::EndpointStats& after = w.reader_ep->stats();
+  const uint64_t rounds = after.round_trips - before.round_trips;
+  for (const BatchOp& op : batch) EXPECT_TRUE(op.ok);
+  EXPECT_LE(rounds, 1 + longest);
+  EXPECT_LT(rounds, total);
+  EXPECT_EQ(w.reader->sphinx_stats().batch_fused_rounds, rounds);
+
+  // Per-phase sums stay exact, and a shared round is charged whole to the
+  // phase of its first read: every op opens with its parallel INHT read,
+  // so exactly one round is an INHT round.
+  EXPECT_EQ(after.rtts_sum_by_phase(), after.round_trips);
+  EXPECT_EQ(after.bytes_sum_by_phase(), after.bytes_total());
+  const auto inht = static_cast<size_t>(rdma::Phase::kInhtRead);
+  EXPECT_EQ(after.rtts_by_phase[inht] - before.rtts_by_phase[inht], 1u);
+}
+
+TEST(PipelinedReads, SingleOpBatchIssuesSearchVerbsExactly) {
+  // search() is a batch of one: two identical worlds, one driven through
+  // search() and one through execute_batch with one op, issue the same
+  // verbs with the same virtual clock, op for op -- warm and stale LAC
+  // hits, PEC hits, misses and absent keys alike.
+  PipelineWorld a(/*cache_budget=*/4096);
+  PipelineWorld b(/*cache_budget=*/4096);
+  const auto keys = testing::mixed_keys(400, 9);
+  for (size_t i = 0; i < 300; ++i) {
+    ASSERT_TRUE(a.mutator->insert(keys[i], "v"));
+    ASSERT_TRUE(b.mutator->insert(keys[i], "v"));
+  }
+  Rng rng(5);
+  for (int op = 0; op < 1500; ++op) {
+    const std::string& k = keys[rng.next_below(keys.size())];
+    if (op % 50 == 49) {
+      // Stale both readers' bindings the same way.
+      a.mutator->remove(k);
+      b.mutator->remove(k);
+      a.mutator->insert(k, "w");
+      b.mutator->insert(k, "w");
+      continue;
+    }
+    std::string va;
+    std::string vb;
+    const bool found_a = a.reader->search(k, &va);
+    BatchOp bop = search_op(k, &vb);
+    b.reader->execute_batch(&bop, 1);
+    ASSERT_EQ(found_a, bop.ok) << k;
+    ASSERT_EQ(va, vb);
+    ASSERT_EQ(a.reader_ep->clock_ns(), b.reader_ep->clock_ns()) << op;
+    ASSERT_EQ(bop.done_clock_ns, b.reader_ep->clock_ns());
+  }
+  const rdma::EndpointStats& sa = a.reader_ep->stats();
+  const rdma::EndpointStats& sb = b.reader_ep->stats();
+  EXPECT_EQ(sa.round_trips, sb.round_trips);
+  EXPECT_EQ(sa.messages, sb.messages);
+  EXPECT_EQ(sa.reads, sb.reads);
+  EXPECT_EQ(sa.bytes_read, sb.bytes_read);
+  EXPECT_EQ(sa.rtts_by_phase, sb.rtts_by_phase);
+  EXPECT_EQ(sa.bytes_by_phase, sb.bytes_by_phase);
+  EXPECT_GT(a.reader->sphinx_stats().lac_hits, 0u);
+  EXPECT_GT(a.reader->sphinx_stats().lac_stale, 0u);
+  EXPECT_GT(a.reader->sphinx_stats().pec_hits, 0u);
 }
 
 }  // namespace

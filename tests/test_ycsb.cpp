@@ -253,6 +253,35 @@ TEST(Runner, PipelinedSphinxFusesRoundTrips) {
   EXPECT_EQ(d8.net.rtts_sum_by_phase(), d8.net.round_trips);
 }
 
+TEST(Runner, PipelinedMissesShareRoundsOnStarvedCaches) {
+  // A 16 KiB CN cache holds a small share of 10 K email keys, so most
+  // reads miss the LAC and walk SFC/PEC/INHT -> start node -> leaf. At
+  // depth 8 those chains advance in lock-step rounds instead of one after
+  // another: round trips per op fall well below the warm-hit share alone
+  // (fusing only the LAC hits left ~0.74 of the serial round trips here).
+  auto make_result = [](uint32_t depth) {
+    auto cluster = testing::make_test_cluster();
+    SystemSetup setup(SystemKind::kSphinx, *cluster, 16 << 10);
+    YcsbRunner runner(*cluster, setup.factory(),
+                      generate_email_keys(10000, 9));
+    runner.load(10000, 64, 4);
+    RunOptions options;
+    options.workers = 4;
+    options.ops_per_worker = 1500;
+    options.pipeline_depth = depth;
+    runner.run(standard_workload('C'), options);  // warm-up
+    return runner.run(standard_workload('C'), options);
+  };
+  const RunResult d1 = make_result(1);
+  const RunResult d8 = make_result(8);
+  EXPECT_EQ(d1.misses, 0u);
+  EXPECT_EQ(d8.misses, 0u);
+  EXPECT_LT(2 * d8.net.round_trips, d1.net.round_trips);
+  EXPECT_GT(d8.ops_per_sec, 1.5 * d1.ops_per_sec);
+  EXPECT_EQ(d8.net.rtts_sum_by_phase(), d8.net.round_trips);
+  EXPECT_EQ(d8.net.bytes_sum_by_phase(), d8.net.bytes_total());
+}
+
 TEST(Runner, BaselinesKeepSerialBehaviorUnderPipelining) {
   // SMART and the B+ tree keep the inherited naive serial execute_batch
   // loop (ycsb/systems.cpp): depth 8 must not change their protocol

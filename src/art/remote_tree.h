@@ -21,7 +21,8 @@
 //     Idle status and fresh checksum with a single WRITE (the paper's
 //     combined release+write);
 //   * lock acquisition/release piggybacks on payload writes via doorbell
-//     batches wherever possible.
+//     batches wherever possible, and every inner-node lock CAS carries the
+//     node's under-lock re-read in the same batch (NodeLock below).
 #pragma once
 
 #include <cstdint>
@@ -411,30 +412,50 @@ class RemoteTree : public KvIndex {
                                      : inner_node_bytes(t);
   }
 
-  // Acquires `addr`'s node lock given the header we last saw (must be
-  // Idle). On success re-reads the node into *fresh and stores the exact
-  // lease-stamped locked word (needed for the release CAS) in *locked_out.
-  // A non-Idle or contended header feeds the lease watch (note_busy_inner),
-  // reclaiming the lock if its lease has expired.
-  bool lock_node(const TerminatedKey& key, rdma::GlobalAddr addr,
-                 uint64_t seen_header, InnerImage* fresh,
-                 uint64_t* locked_out);
+  // One inner-node lock, taken in the same doorbell batch as its under-lock
+  // re-read (DESIGN.md Sec. 9): post_lock() appends the lock CAS and, right
+  // behind it, a READ of the whole node. A batch applies in post order, so
+  // a winning CAS's read returns the locked image; a losing CAS's read is
+  // discarded. Every verb of a batch executes unconditionally, so only
+  // reads may ride behind the CAS, never a write that needs the lock.
+  struct NodeLock {
+    NodeLock(rdma::GlobalAddr a, uint64_t s) : addr(a), seen(s) {}
+    rdma::GlobalAddr addr;
+    uint64_t seen;        // Idle header the CAS expects and release restores
+    uint64_t locked = 0;  // lease-stamped word the CAS installs
+    size_t cas_idx = 0;
+    InnerImage fresh;     // the node under the lock, once the CAS won
+  };
 
-  void unlock_node(rdma::GlobalAddr addr, uint64_t locked_header,
-                   uint64_t idle_header);
+  // True when `lock.seen` is Idle. A busy header feeds the lease watch
+  // (note_busy_inner), reclaiming the lock if its lease has expired.
+  bool lockable(const TerminatedKey& key, const NodeLock& lock);
+  // Appends the lock CAS and the under-lock re-read to `batch`.
+  void post_lock(rdma::DoorbellBatch& batch, NodeLock* lock);
+  // After the batch ran: true when the lock CAS won. A lost race is counted
+  // (lock_fail_retries), fed to the lease watch when the winner's word is
+  // busy, and evicts the node from CN caches (invalidate_inner).
+  bool lock_won(const TerminatedKey& key, const rdma::DoorbellBatch& batch,
+                const NodeLock& lock);
+  void unlock(const NodeLock& lock);
+  // Releases a lock whose re-read showed the descent's view of the node was
+  // stale, and evicts the node from CN caches so the retry reads it anew.
+  void release_stale(const NodeLock& lock);
+  // The slot of the locked node holding `word` under `branch`; -1, after
+  // release_stale(), when the slot has moved on since the descent.
+  int locked_slot(const NodeLock& lock, uint8_t branch, uint64_t word);
 
-  // Installs `desired` into slot `slot_index` of the locked node at
-  // `node_addr` (CAS expecting `expected`) and releases the node lock
-  // (`locked` -> `idle`). For every node but the root the two CASes ride
-  // one doorbell batch, exactly the old fused shape. For the root (with
+  // Installs `desired` into slot `slot_index` of the locked node (CAS
+  // expecting `expected`) and releases the lock. For every node but the
+  // root the two CASes ride one doorbell batch. For the root (with
   // replicas), the slot CAS goes first and -- only if it won -- the new
   // word is written to every root replica in a second batch that also
   // carries the lock release, so replicas can never lag a root whose lock
   // has been released by a live client (+1 RTT on rare root-slot
-  // mutations). Returns the slot CAS outcome.
-  bool install_slot_locked(rdma::GlobalAddr node_addr, uint32_t slot_index,
+  // mutations). A win patches lock->fresh to the released image and
+  // reports it through note_inner_write. Returns the slot CAS outcome.
+  bool install_slot_locked(NodeLock* lock, uint32_t slot_index,
                            uint64_t expected, uint64_t desired,
-                           uint64_t locked, uint64_t idle,
                            rdma::FaultSite site);
 
   // ---- crash-tolerant locking (lease reclamation) --------------------------

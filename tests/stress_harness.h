@@ -81,6 +81,10 @@ struct StressOptions {
   // mutations of one key inside a batch has no serial oracle); scans close
   // the batch and run serially.
   int pipeline_depth = 1;
+  // Sphinx only: before the workers start, script one cross-CN remove and
+  // reinsert of a loaded key between two lookups from another CN, so the
+  // run counts at least one stale LAC hit however the threads interleave.
+  bool script_stale_lac_hit = false;
 };
 
 struct StressReport {
@@ -159,6 +163,7 @@ class StressHarness {
   StressReport run() {
     StressReport report;
     load_lin_keys();
+    if (options_.script_stale_lac_hit) script_stale_lac_hit();
 
     if (options_.faults) arm_background_schedule();
     if (options_.crash_rate > 0.0) {
@@ -284,6 +289,28 @@ class StressHarness {
         completed_[lin_slot(t, i)].store(0);
       }
     }
+  }
+
+  // A CN-0 client binds lin key (0, 0) in its CN's LAC; a CN-1 client
+  // removes and reinserts the key (new leaf, same version-0 value), which
+  // purges only CN 1's binding; the CN-0 client's next lookup then hits the
+  // stale binding, and the fused validate catches it.
+  void script_stale_lac_hit() {
+    rdma::Endpoint reader_ep(cluster_->fabric(), 0, true);
+    rdma::Endpoint mutator_ep(cluster_->fabric(), 1, true);
+    mem::RemoteAllocator reader_alloc(*cluster_, reader_ep);
+    mem::RemoteAllocator mutator_alloc(*cluster_, mutator_ep);
+    auto reader = setup_.make_client(0, reader_ep, reader_alloc);
+    auto mutator = setup_.make_client(1, mutator_ep, mutator_alloc);
+    const std::string key = lin_key(0, 0);
+    std::string v;
+    reader->search(key, &v);
+    reader->search(key, &v);
+    mutator->remove(key);
+    mutator->insert(key, lin_value(0));
+    reader->search(key, &v);
+    salvage_client_stats(reader.get());
+    salvage_client_stats(mutator.get());
   }
 
   void arm_background_schedule() {

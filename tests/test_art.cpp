@@ -13,6 +13,7 @@
 #include "art/node_image.h"
 #include "art/node_layout.h"
 #include "common/rng.h"
+#include "rdma/fault_injector.h"
 #include "test_util.h"
 #include "ycsb/dataset.h"
 
@@ -485,6 +486,268 @@ TEST_F(ArtIndexTest, StaleReplicaNeverYieldsFalseVerdicts) {
   EXPECT_EQ(v, "v2");
   EXPECT_TRUE(index_->remove("stale-key"));
   EXPECT_FALSE(index_->search("stale-key", &v));
+}
+
+// ---- lock acquisition rides with its re-read (DESIGN.md Sec. 9) -------------
+
+// A fixed little tree below the root, so no mutation touches the replicated
+// root: root['x'] -> P (prefix "x") -> {'a' -> M (prefix "xab", Node-4 with
+// the four leaves xab1..xab4), 'c' -> leaf "xcd"}. A descent to one of M's
+// leaves reads the root, P, M and the leaf: 4 round trips.
+class ArtLockPath : public ArtIndexTest {
+ protected:
+  void SetUp() override {
+    ArtIndexTest::SetUp();
+    for (const char* k : {"xab1", "xab2", "xcd", "xab3", "xab4"}) {
+      ASSERT_TRUE(index_->insert(k, std::string("v:") + k)) << k;
+    }
+    m_addr_ = child(read_node(ref_.root, NodeType::kN256), 'x');
+    const InnerImage p = read_node(m_addr_, NodeType::kN4);
+    ASSERT_EQ(p.depth(), 1u);
+    m_addr_ = child(p, 'a');
+    ASSERT_EQ(m().depth(), 3u);
+    ASSERT_EQ(m().type(), NodeType::kN4);
+  }
+
+  InnerImage read_node(rdma::GlobalAddr addr, NodeType type) {
+    rdma::Endpoint loader = cluster_->make_loader_endpoint();
+    InnerImage img;
+    loader.read(addr, img.raw(), inner_node_bytes(type));
+    return img;
+  }
+  InnerImage m() { return read_node(m_addr_, NodeType::kN4); }
+  static uint64_t slot_word(const InnerImage& node, uint8_t branch) {
+    const int idx = node.find_pkey(branch);
+    return idx < 0 ? 0 : node.slot(static_cast<uint32_t>(idx));
+  }
+  static rdma::GlobalAddr child(const InnerImage& node, uint8_t branch) {
+    return slot_addr(slot_word(node, branch));
+  }
+  uint64_t leaf_header(rdma::GlobalAddr leaf) {
+    rdma::Endpoint loader = cluster_->make_loader_endpoint();
+    return loader.read64(leaf);
+  }
+
+  // Runs `op` and returns its round trips, checking that the per-phase
+  // round trips and bytes still sum exactly to the totals. Allocator lease
+  // refills (kAlloc) depend on the client's chunk state, not on the op's
+  // protocol, and are left out. *delta receives the whole difference.
+  template <typename Op>
+  uint64_t rtts_of(Op op, rdma::EndpointStats* delta = nullptr) {
+    const rdma::EndpointStats before = endpoint_->stats();
+    op();
+    const rdma::EndpointStats d = endpoint_->stats() - before;
+    EXPECT_EQ(d.rtts_sum_by_phase(), d.round_trips);
+    EXPECT_EQ(d.bytes_sum_by_phase(), d.bytes_total());
+    if (delta != nullptr) *delta = d;
+    return d.round_trips - phase(d, rdma::Phase::kAlloc);
+  }
+  static uint64_t phase(const rdma::EndpointStats& d, rdma::Phase p) {
+    return d.rtts_by_phase[static_cast<size_t>(p)];
+  }
+
+  // A kCasFail rule that makes the next lock-acquire CAS on `mn` lose.
+  void lose_next_lock_cas_on(uint32_t mn) {
+    rdma::FaultRule rule;
+    rule.kind = rdma::FaultKind::kCasFail;
+    rule.mn = static_cast<int32_t>(mn);
+    rule.verbs = rdma::verb_bit(rdma::VerbKind::kCas);
+    rule.site = rdma::FaultSite::kLockAcquire;
+    rule.max_fires = 1;
+    injector_.add_rule(rule);
+    cluster_->fabric().set_fault_injector(&injector_);
+  }
+  // One of M's keys whose leaf lives on a different MN than M, so a fault
+  // rule can single out either the leaf CAS or M's lock CAS.
+  std::string key_off_m_mn() {
+    const InnerImage node = m();
+    for (char c = '1'; c <= '4'; ++c) {
+      if (child(node, static_cast<uint8_t>(c)).mn() != m_addr_.mn()) {
+        return std::string("xab") + c;
+      }
+    }
+    return "";
+  }
+
+  rdma::GlobalAddr m_addr_;
+  rdma::FaultInjector injector_{7};
+};
+
+TEST_F(ArtLockPath, InsertSplitRemoveAndReplaceCostDescentPlusTwo) {
+  // Removing xab4 frees a slot in M for the free-slot insert below.
+  rdma::EndpointStats d;
+  EXPECT_EQ(rtts_of([&] { ASSERT_TRUE(index_->remove("xab4")); }, &d), 4u + 2);
+  // Leaf CAS + M's lock CAS + M's re-read in one batch, then slot clear +
+  // release: no standalone lock or re-read round trip.
+  EXPECT_EQ(phase(d, rdma::Phase::kLeafWrite), 1u);
+  EXPECT_EQ(phase(d, rdma::Phase::kInnerWrite), 1u);
+  EXPECT_EQ(phase(d, rdma::Phase::kLock), 0u);
+  EXPECT_EQ(phase(d, rdma::Phase::kInnerRead), 3u);  // the descent only
+
+  // Free slot in M: root + P + M, then leaf write + lock + re-read, then
+  // slot CAS + release.
+  EXPECT_EQ(rtts_of([&] { ASSERT_TRUE(index_->insert("xab5", "v")); }, &d),
+            3u + 2);
+  EXPECT_EQ(phase(d, rdma::Phase::kInnerRead), 3u);
+  EXPECT_EQ(phase(d, rdma::Phase::kLock), 0u);
+
+  // Split below M: the descent ends at leaf xab1 (4), then leaf + new node
+  // writes + M's lock + re-read, then the slot swap.
+  EXPECT_EQ(rtts_of([&] { ASSERT_TRUE(index_->insert("xab1z", "v")); }, &d),
+            4u + 2);
+  EXPECT_EQ(phase(d, rdma::Phase::kInnerRead), 3u);
+  EXPECT_EQ(index_->tree_stats().splits, 3u);
+
+  // An Invalid leaf still linked from P (forged: a remove whose slot clear
+  // never happened): root + P + leaf, then the fused batch and the swap.
+  const rdma::GlobalAddr p_addr =
+      child(read_node(ref_.root, NodeType::kN256), 'x');
+  const rdma::GlobalAddr dead = child(read_node(p_addr, NodeType::kN4), 'c');
+  rdma::Endpoint loader = cluster_->make_loader_endpoint();
+  loader.write64(dead, with_status(leaf_header(dead), NodeStatus::kInvalid));
+  EXPECT_EQ(rtts_of([&] { ASSERT_TRUE(index_->insert("xcd", "v2")); }, &d),
+            3u + 2);
+  EXPECT_EQ(phase(d, rdma::Phase::kLock), 0u);
+  EXPECT_NE(child(read_node(p_addr, NodeType::kN4), 'c'), dead);
+
+  std::string v;
+  ASSERT_TRUE(index_->search("xcd", &v));
+  EXPECT_EQ(v, "v2");
+  EXPECT_FALSE(index_->search("xab4", &v));
+  EXPECT_EQ(index_->tree_stats().lock_fail_retries, 0u);
+}
+
+TEST_F(ArtLockPath, TypeSwitchAndOutOfPlaceUpdateFuseEachLock) {
+  // M is a full Node-4, so inserting xab5 switches it to a Node-16: descent
+  // (3); M's lock + re-read (1); the grown copy's write + P's lock + P's
+  // re-read (1); slot swap + release (1); M marked Invalid (1); then the
+  // retry's descent through the grown node (3) and the free-slot insert
+  // (2). A separate re-read per lock used to cost two more.
+  rdma::EndpointStats d;
+  EXPECT_EQ(rtts_of([&] { ASSERT_TRUE(index_->insert("xab5", "v")); }, &d),
+            3u + 4 + 3 + 2);
+  EXPECT_EQ(index_->tree_stats().type_switches, 1u);
+  EXPECT_EQ(phase(d, rdma::Phase::kLock), 1u);       // M's lock + re-read
+  EXPECT_EQ(phase(d, rdma::Phase::kInnerRead), 6u);  // the two descents
+
+  // Out of place: descent to the leaf (4); leaf lock (1); new leaf write +
+  // parent lock + re-read (1); slot swap + release (1); old leaf Invalid
+  // (1). One fewer than with a separate parent re-read.
+  const std::string big(300, 'B');
+  EXPECT_EQ(rtts_of([&] { ASSERT_TRUE(index_->update("xab2", big)); }, &d),
+            4u + 4);
+  EXPECT_EQ(phase(d, rdma::Phase::kLock), 1u);  // the leaf lock only
+  std::string v;
+  ASSERT_TRUE(index_->search("xab2", &v));
+  EXPECT_EQ(v, big);
+}
+
+TEST_F(ArtLockPath, ReReadIsPostedRightBehindItsLockCas) {
+  // The batch applies in post order, so only a read posted AFTER the lock
+  // CAS returns the locked image. A zero-delay rule on every verb records
+  // the exact verb sequence.
+  rdma::FaultRule every_verb;
+  every_verb.kind = rdma::FaultKind::kDelay;
+  every_verb.delay_ns = 0;
+  injector_.add_rule(every_verb);
+  injector_.set_recording(true);
+  cluster_->fabric().set_fault_injector(&injector_);
+  const uint32_t leaf_mn = child(m(), '4').mn();
+  ASSERT_TRUE(index_->remove("xab4"));
+  ASSERT_TRUE(index_->insert("xab5", "v"));
+  cluster_->fabric().set_fault_injector(nullptr);
+
+  using rdma::VerbKind;
+  struct Verb {
+    VerbKind kind;
+    uint32_t mn;
+  };
+  const uint32_t mn = m_addr_.mn();
+  constexpr uint32_t kAnyMn = UINT32_MAX;  // the root, P, the new leaf
+  const std::vector<Verb> want = {
+      // remove: root, P, M, leaf; leaf CAS + M's lock CAS + M's re-read;
+      // slot clear + release.
+      {VerbKind::kRead, kAnyMn}, {VerbKind::kRead, kAnyMn},
+      {VerbKind::kRead, mn}, {VerbKind::kRead, leaf_mn},
+      {VerbKind::kCas, leaf_mn}, {VerbKind::kCas, mn}, {VerbKind::kRead, mn},
+      {VerbKind::kCas, mn}, {VerbKind::kCas, mn},
+      // insert: root, P, M; leaf write + M's lock CAS + M's re-read; slot
+      // install + release.
+      {VerbKind::kRead, kAnyMn}, {VerbKind::kRead, kAnyMn},
+      {VerbKind::kRead, mn}, {VerbKind::kWrite, kAnyMn},
+      {VerbKind::kCas, mn}, {VerbKind::kRead, mn}, {VerbKind::kCas, mn},
+      {VerbKind::kCas, mn}};
+  const std::vector<rdma::FaultEvent> got = injector_.events_for_client(0);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].verb, want[i].kind) << "verb " << i;
+    if (want[i].mn != kAnyMn) {
+      EXPECT_EQ(got[i].mn, want[i].mn) << "verb " << i;
+    }
+  }
+}
+
+TEST_F(ArtLockPath, RemoveRetriesWhenLeafCasLosesAndParentLockWins) {
+  const std::string key = key_off_m_mn();
+  ASSERT_FALSE(key.empty()) << "no leaf of M on another MN";
+  const uint8_t branch = static_cast<uint8_t>(key.back());
+  const rdma::GlobalAddr leaf = child(m(), branch);
+  const uint64_t m_header = m().header();
+
+  // The leaf CAS (on the leaf's MN) loses; M's lock CAS in the same batch
+  // wins and must be released before the retry.
+  lose_next_lock_cas_on(leaf.mn());
+  const uint64_t retries = index_->tree_stats().op_retries;
+  // Descent (4) + fused batch (1) + release (1) + descent (4) + 2.
+  EXPECT_EQ(rtts_of([&] { EXPECT_TRUE(index_->remove(key)); }),
+            4u + 1 + 1 + 4 + 2);
+  cluster_->fabric().set_fault_injector(nullptr);
+  EXPECT_EQ(injector_.stats().cas_failures, 1u);
+  EXPECT_EQ(index_->tree_stats().op_retries, retries + 1);
+  EXPECT_EQ(index_->tree_stats().lock_fail_retries, 0u);
+
+  // M is back at the exact header word the remove saw, the slot is gone
+  // and the leaf is Invalid.
+  EXPECT_EQ(m().header(), m_header);
+  EXPECT_EQ(slot_word(m(), branch), 0u);
+  EXPECT_EQ(header_status(leaf_header(leaf)), NodeStatus::kInvalid);
+  std::string v;
+  EXPECT_FALSE(index_->search(key, &v));
+}
+
+TEST_F(ArtLockPath, LostParentLockLeavesInvalidLeafForTheNextInsert) {
+  const std::string key = key_off_m_mn();
+  ASSERT_FALSE(key.empty()) << "no leaf of M on another MN";
+  const uint8_t branch = static_cast<uint8_t>(key.back());
+  const uint64_t dead_word = slot_word(m(), branch);
+  const uint64_t m_header = m().header();
+
+  // The leaf CAS wins (the delete linearizes); M's lock CAS loses, so the
+  // slot clear is skipped: one fused batch after the descent.
+  lose_next_lock_cas_on(m_addr_.mn());
+  EXPECT_EQ(rtts_of([&] { EXPECT_TRUE(index_->remove(key)); }), 4u + 1);
+  cluster_->fabric().set_fault_injector(nullptr);
+  EXPECT_EQ(injector_.stats().cas_failures, 1u);
+  EXPECT_EQ(index_->tree_stats().lock_fail_retries, 1u);
+
+  // The leaf stays Invalid and linked; M was never locked.
+  EXPECT_EQ(slot_word(m(), branch), dead_word);
+  EXPECT_EQ(header_status(leaf_header(slot_addr(dead_word))),
+            NodeStatus::kInvalid);
+  EXPECT_EQ(m().header(), m_header);
+  std::string v;
+  EXPECT_FALSE(index_->search(key, &v));
+
+  // The next insert of the key swaps the dead leaf out and retires it.
+  const mem::AllocStats& alloc = cluster_->alloc_stats();
+  const uint64_t retired = alloc.retired_bytes_total();
+  EXPECT_EQ(rtts_of([&] { ASSERT_TRUE(index_->insert(key, "again")); }),
+            4u + 2);
+  EXPECT_NE(slot_word(m(), branch), dead_word);
+  EXPECT_GE(alloc.retired_bytes_total() - retired,
+            uint64_t{slot_leaf_units(dead_word)} * kLeafUnitBytes);
+  ASSERT_TRUE(index_->search(key, &v));
+  EXPECT_EQ(v, "again");
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "art/art_index.h"
 #include "common/rng.h"
+#include "rdma/fault_injector.h"
 #include "smart/smart_index.h"
 #include "test_util.h"
 #include "ycsb/dataset.h"
@@ -229,6 +230,89 @@ TEST_F(SmartTest, ScanWorksWithCache) {
   for (size_t i = 0; i < n; ++i, ++it) {
     EXPECT_EQ(out[i].first, it->first);
   }
+}
+
+// ---- lock path: a lost lock or a stale re-read drops the cached node -------
+
+// ab1 and ab2 share the node M (prefix "ab") under the root; our client
+// built M, so its image sits in our NodeCache.
+class SmartLockPath : public SmartTest {
+ protected:
+  void SetUp() override {
+    SmartTest::SetUp();
+    ASSERT_TRUE(index_->insert("ab1", "v1"));
+    ASSERT_TRUE(index_->insert("ab2", "v2"));
+    rdma::Endpoint loader = cluster_->make_loader_endpoint();
+    art::InnerImage node;
+    loader.read(ref_.root, node.raw(),
+                art::inner_node_bytes(art::NodeType::kN256));
+    m_addr_ = art::slot_addr(node.slot('a'));
+    loader.read(m_addr_, node.raw(),
+                art::inner_node_bytes(art::NodeType::kN256));
+    ab1_leaf_ = art::slot_addr(node.slot('1'));
+    art::InnerImage cached;
+    ASSERT_TRUE(cache_->get(m_addr_.raw(), &cached));
+  }
+
+  // Forges a remove whose slot clear never landed: ab1's leaf turns
+  // Invalid but stays linked from M.
+  void kill_ab1_leaf() {
+    rdma::Endpoint loader = cluster_->make_loader_endpoint();
+    loader.write64(ab1_leaf_, art::with_status(loader.read64(ab1_leaf_),
+                                               art::NodeStatus::kInvalid));
+  }
+
+  rdma::GlobalAddr m_addr_;
+  rdma::GlobalAddr ab1_leaf_;
+};
+
+TEST_F(SmartLockPath, LostLockOnInvalidLeafReplaceDropsCachedNode) {
+  kill_ab1_leaf();
+  // M's next lock CAS loses; the replace must evict M so the retry reads
+  // it from remote memory instead of trusting the cached image.
+  rdma::FaultInjector injector(7);
+  rdma::FaultRule rule;
+  rule.kind = rdma::FaultKind::kCasFail;
+  rule.mn = static_cast<int32_t>(m_addr_.mn());
+  rule.verbs = rdma::verb_bit(rdma::VerbKind::kCas);
+  rule.site = rdma::FaultSite::kLockAcquire;
+  rule.max_fires = 1;
+  injector.add_rule(rule);
+  cluster_->fabric().set_fault_injector(&injector);
+  const NodeCacheStats before = cache_->stats();
+  EXPECT_TRUE(index_->insert("ab1", "again"));
+  cluster_->fabric().set_fault_injector(nullptr);
+
+  EXPECT_EQ(injector.stats().cas_failures, 1u);
+  EXPECT_EQ(index_->tree_stats().lock_fail_retries, 1u);
+  EXPECT_EQ(cache_->stats().invalidations - before.invalidations, 1u);
+  std::string v;
+  ASSERT_TRUE(index_->search("ab1", &v));
+  EXPECT_EQ(v, "again");
+}
+
+TEST_F(SmartLockPath, StaleCachedNodeIsDroppedWhenTheReReadDisagrees) {
+  kill_ab1_leaf();
+  // A peer (own cache) replaces the dead leaf: M's slot '1' now points at
+  // the peer's leaf, while our cached M still names the dead one.
+  NodeCache cache2(20ull << 20);
+  rdma::Endpoint ep2(cluster_->fabric(), 1, true);
+  mem::RemoteAllocator alloc2(*cluster_, ep2);
+  SmartIndex peer(*cluster_, ep2, alloc2, ref_, cache2);
+  ASSERT_TRUE(peer.insert("ab1", "peer"));
+
+  // Our insert reaches the dead leaf through the cached M, locks M, and
+  // the re-read shows the slot has moved on. Dropping the cached M sends
+  // the retry to remote memory, which finds the peer's key; keeping it
+  // would replay the same stale path until the retry budget ran out.
+  const NodeCacheStats before = cache_->stats();
+  EXPECT_FALSE(index_->insert("ab1", "mine"));
+  EXPECT_EQ(index_->tree_stats().ops_failed, 0u);
+  EXPECT_EQ(index_->tree_stats().op_retries, 1u);
+  EXPECT_EQ(cache_->stats().invalidations - before.invalidations, 1u);
+  std::string v;
+  ASSERT_TRUE(index_->search("ab1", &v));
+  EXPECT_EQ(v, "peer");
 }
 
 }  // namespace

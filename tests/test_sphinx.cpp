@@ -734,5 +734,92 @@ TEST(PipelinedReads, SingleOpBatchIssuesSearchVerbsExactly) {
   EXPECT_GT(a.reader->sphinx_stats().pec_hits, 0u);
 }
 
+// ---- lock acquisition rides with its re-read (DESIGN.md Sec. 9) -------------
+
+// Warm Sphinx mutations descend exactly like a search of the same key (SFC
+// -> INHT entry -> start node -> leaf), then pay two round trips: the batch
+// carrying the payload or delete CAS with the lock CAS and the locked
+// node's re-read, and the slot CAS with the release.
+class SphinxLockPath : public SphinxTest {
+ protected:
+  // Round trips of `op`, with the per-phase sums checked to stay exact.
+  template <typename Op>
+  uint64_t rtts_of(Op op, rdma::EndpointStats* delta) {
+    const rdma::EndpointStats before = endpoint_->stats();
+    op();
+    *delta = endpoint_->stats() - before;
+    EXPECT_EQ(delta->rtts_sum_by_phase(), delta->round_trips);
+    EXPECT_EQ(delta->bytes_sum_by_phase(), delta->bytes_total());
+    return delta->round_trips;
+  }
+  static uint64_t phase(const rdma::EndpointStats& d, rdma::Phase p) {
+    return d.rtts_by_phase[static_cast<size_t>(p)];
+  }
+};
+
+TEST_F(SphinxLockPath, RemoveAndFreeSlotInsertCostTheirSearchPlusTwo) {
+  for (const char* k : {"xab1", "xab2", "xcd", "xab3", "xab4"}) {
+    ASSERT_TRUE(index_->insert(k, std::string("v:") + k)) << k;
+  }
+  std::string v;
+  rdma::EndpointStats search;
+  rdma::EndpointStats op;
+  const uint64_t search_rtts =
+      rtts_of([&] { ASSERT_TRUE(index_->search("xab4", &v)); }, &search);
+  EXPECT_EQ(rtts_of([&] { ASSERT_TRUE(index_->remove("xab4")); }, &op),
+            search_rtts + 2);
+  // No standalone lock or re-read: the descent's inner reads only.
+  EXPECT_EQ(phase(op, rdma::Phase::kLock), 0u);
+  EXPECT_EQ(phase(op, rdma::Phase::kInnerRead),
+            phase(search, rdma::Phase::kInnerRead));
+  EXPECT_EQ(phase(op, rdma::Phase::kLeafWrite), 1u);
+  EXPECT_EQ(phase(op, rdma::Phase::kInnerWrite), 1u);
+
+  // Inserting into the slot the remove freed: the descent stops at the
+  // start node (no leaf read).
+  EXPECT_EQ(rtts_of([&] { ASSERT_TRUE(index_->insert("xab4", "w")); }, &op),
+            search_rtts - 1 + 2);
+  EXPECT_EQ(phase(op, rdma::Phase::kLock), 0u);
+  EXPECT_EQ(phase(op, rdma::Phase::kInnerRead),
+            phase(search, rdma::Phase::kInnerRead));
+  ASSERT_TRUE(index_->search("xab4", &v));
+  EXPECT_EQ(v, "w");
+  EXPECT_EQ(index_->tree_stats().lock_fail_retries, 0u);
+}
+
+TEST_F(SphinxLockPath, SplitAndOutOfPlaceUpdateFuseTheParentReRead) {
+  for (const char* k : {"xab1", "xab2", "xcd", "xab3", "xab4"}) {
+    ASSERT_TRUE(index_->insert(k, std::string("v:") + k)) << k;
+  }
+  std::string v;
+  rdma::EndpointStats search;
+  rdma::EndpointStats op;
+  const uint64_t search_rtts =
+      rtts_of([&] { ASSERT_TRUE(index_->search("xab1", &v)); }, &search);
+
+  // Split below the start node: the descent ends at leaf xab1, then two
+  // round trips; the new node's INHT entry (kInhtWrite) and any allocator
+  // lease refill (kAlloc) come on top.
+  const uint64_t split =
+      rtts_of([&] { ASSERT_TRUE(index_->insert("xab1z", "v")); }, &op);
+  EXPECT_EQ(split - phase(op, rdma::Phase::kInhtWrite) -
+                phase(op, rdma::Phase::kAlloc),
+            search_rtts + 2);
+  EXPECT_EQ(phase(op, rdma::Phase::kLock), 0u);
+
+  // Out of place: the leaf lock, the new leaf's write with the parent's
+  // lock and re-read, the slot swap, the old leaf's Invalid write.
+  const std::string big(300, 'B');
+  EXPECT_EQ(rtts_of([&] { ASSERT_TRUE(index_->update("xab2", big)); }, &op) -
+                phase(op, rdma::Phase::kAlloc),
+            search_rtts + 4);
+  EXPECT_EQ(phase(op, rdma::Phase::kLock), 1u);  // the leaf lock only
+  EXPECT_EQ(phase(op, rdma::Phase::kInnerRead),
+            phase(search, rdma::Phase::kInnerRead));
+  ASSERT_TRUE(index_->search("xab2", &v));
+  EXPECT_EQ(v, big);
+  ASSERT_TRUE(index_->search("xab1z", &v));
+}
+
 }  // namespace
 }  // namespace sphinx::core

@@ -119,15 +119,30 @@ TEST(Stress, SphinxLacCoherenceUnderChurnAndFaults) {
   // (expect_clean checks lac_wrong_value); (b) staleness was actually
   // exercised AND self-heals -- the quiesced second pass over every key
   // observes zero new stale hits, because the first pass purged or
-  // refreshed every binding it touched.
+  // refreshed every binding it touched. How many stale hits the mix itself
+  // produces depends on the host's thread interleaving (none at all is
+  // possible on a loaded host), so one is scripted before the run.
   StressOptions options = base_options(ycsb::SystemKind::kSphinx);
   options.churn_keys_per_thread = 96;  // deeper stripes -> more splits
   options.ops_per_thread = 2500;
   options.faults = true;
+  options.script_stale_lac_hit = true;
   const StressReport report = run_stress(options);
   expect_clean(report);
   EXPECT_GT(report.lac_hits, 0u);
-  EXPECT_GT(report.lac_stale, 0u);  // the mix really invalidated bindings
+  EXPECT_GT(report.lac_stale, 0u);  // staleness was really exercised
+  EXPECT_EQ(report.lac_second_pass_stale, 0u);
+}
+
+TEST(Stress, ScriptedStaleLacHitCountsWithoutAnyWorkerOps) {
+  // The scripted remove + reinsert alone yields the stale hit the LAC
+  // coherence test relies on.
+  StressOptions options = base_options(ycsb::SystemKind::kSphinx);
+  options.ops_per_thread = 0;
+  options.script_stale_lac_hit = true;
+  const StressReport report = run_stress(options);
+  expect_clean(report);
+  EXPECT_EQ(report.lac_stale, 1u);
   EXPECT_EQ(report.lac_second_pass_stale, 0u);
 }
 

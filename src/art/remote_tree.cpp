@@ -1261,13 +1261,22 @@ bool RemoteTree::reclaim_leaf(const TerminatedKey& key, rdma::GlobalAddr addr,
 // Frontier-batched scan engine. The frontier is a key-ordered worklist of
 // pending children; each round fetches the leading unvisited entries
 // *across subtrees* in one doorbell batch (kScanFanout wide, leaf runs and
-// inner nodes interleaved), pops validated leaves off the front in order,
-// and splices an expanded inner node's in-window children back in place.
-// Round trips therefore scale like tree depth + ceil(nodes / fanout)
-// instead of one batch sequence per subtree. Stale pointers re-resolve
-// through the parent's slot word under the per-op RetryPolicy; an
-// exhausted budget is surfaced (counters + last_scan_truncated()), never
-// silently skipped.
+// inner nodes interleaved). The frontier is level-synchronous: once a
+// batch lands, a resolve pass walks from the head and expands every
+// fetched inner node that verifies in place, so the children of sibling
+// subtrees fetched together ride the *next* batch together instead of
+// waiting for the in-order consumer to reach each parent. The pass stops
+// where the items before it cover the remaining count (a leaf counts 1,
+// an unfetched inner the keys-per-inner estimate, an inner that failed
+// verification 1): without the stop rule it would expand, and report to
+// the CN caches, subtrees the scan never reads. The head consumer then
+// pops leaves off the front strictly in key order and re-resolves stale
+// items; it never expands a node itself -- a verified inner it reaches
+// (past the stop point, because leaves before it were filtered out) goes
+// back to the resolve pass, the one expansion site. Stale pointers
+// re-resolve through the parent's slot word under the per-op RetryPolicy;
+// an exhausted budget is surfaced (counters + last_scan_truncated()),
+// never silently skipped.
 
 namespace {
 
@@ -1527,6 +1536,14 @@ void RemoteTree::run_scan(
     free_leaf_bufs_.pop_back();
     return b;
   };
+  // Keys a pending item is expected to contribute: a leaf one, an inner
+  // node the keys-per-inner estimate.
+  auto expected_keys = [&](const ScanItem& it) {
+    return slot_is_leaf(it.word)
+               ? size_t{1}
+               : std::max<size_t>(1,
+                                  static_cast<size_t>(scan_keys_per_inner_));
+  };
   auto release_buf = [&](ScanItem& it) {
     if (!it.fetched) return;
     (slot_is_leaf(it.word) ? free_leaf_bufs_ : free_inner_bufs_)
@@ -1620,6 +1637,49 @@ void RemoteTree::run_scan(
       }
     }
 
+    // Resolve pass: expands, in place, every fetched inner node from
+    // `from` on that verifies (status, type, depth and prefix linkage),
+    // until the items before the walk cover the remaining count. A node
+    // that fails verification counts 1 and stays fetched for the head
+    // consumer's recovery. Returns whether the item at `from` was expanded.
+    auto resolve = [&](size_t from) {
+      const size_t needed = count - out->size();
+      size_t covered = 0;
+      bool expanded_from = false;
+      for (size_t i = from; i < frontier_.size() && covered < needed;) {
+        ScanItem& it = frontier_[i];
+        if (slot_is_leaf(it.word) || !it.fetched) {
+          covered += expected_keys(it);
+          ++i;
+          continue;
+        }
+        const InnerImage& node = scan_inner_pool_[it.buf];
+        // A node that parses but fails the prefix composition (fragment or
+        // full-hash mismatch) is a recycled block from elsewhere in the
+        // tree -- the consumer treats it exactly like a stale pointer.
+        int child_prefix = -1;
+        if (node.status() == NodeStatus::kInvalid ||
+            node.type() != slot_child_type(it.word) ||
+            node.depth() <= it.parent_depth ||
+            (child_prefix = compose_scan_child_prefix(it, node)) < 0) {
+          covered++;
+          ++i;
+          continue;
+        }
+        const rdma::GlobalAddr addr = slot_addr(it.word);
+        const bool lo_b = it.lo_bounded;
+        const bool hi_b = it.hi_bounded;
+        release_buf(it);
+        frontier_.erase(frontier_.begin() + static_cast<ptrdiff_t>(i));
+        // Splice the children in at the node's own position; `node` stays
+        // valid (the freed pool slot is reused only by a later batch).
+        expand_into_frontier(addr, node, bound, high, lo_b, hi_b, i,
+                             static_cast<uint32_t>(child_prefix));
+        expanded_from |= i == from;
+      }
+      return expanded_from;
+    };
+
     // ---- frontier walk -----------------------------------------------------
     bool restart = false;
     while (head < frontier_.size() && out->size() < count && !restart) {
@@ -1655,10 +1715,7 @@ void RemoteTree::run_scan(
             batch_picks_.push_back(i);
             if (!is_leaf) have_inner = true;
           }
-          guaranteed +=
-              is_leaf ? 1
-                      : std::max<size_t>(
-                            1, static_cast<size_t>(scan_keys_per_inner_));
+          guaranteed += expected_keys(it);
         }
         const size_t selected = batch_picks_.size();
         rdma::DoorbellBatch batch(endpoint_);
@@ -1717,6 +1774,7 @@ void RemoteTree::run_scan(
             continue;
           }
         }
+        resolve(head);
       }
 
       // Consume validated items off the front, strictly in key order.
@@ -1793,45 +1851,30 @@ void RemoteTree::run_scan(
                             leaf.value().to_string());
           release_buf(it);
           head++;
-        } else {
-          InnerImage& node = scan_inner_pool_[it.buf];
-          // A node that parses but fails the prefix composition (fragment
-          // or full-hash mismatch) is a recycled block from elsewhere in
-          // the tree -- treat it exactly like a stale pointer.
-          int child_prefix = -1;
-          if (node.status() == NodeStatus::kInvalid ||
-              node.type() != slot_child_type(it.word) ||
-              node.depth() <= it.parent_depth ||
-              (child_prefix = compose_scan_child_prefix(it, node)) < 0) {
-            invalidate_inner(slot_addr(it.word), node);
-            release_buf(it);
-            const ScanRecover r =
-                recover_scan_item(it, /*leaf_deleted=*/false, policy,
-                                  &attempt);
-            if (r == ScanRecover::kRefetch) break;
-            if (r == ScanRecover::kGone) {
-              head++;
-              continue;
-            }
-            if (r == ScanRecover::kRestart) {
-              restart = true;
-              break;
-            }
-            // kDrop: a whole live subtree may be lost; count + truncate.
-            stats_.scan.subtree_skips++;
-            mark_truncated();
+        } else if (!resolve(head)) {
+          // The resolve pass left this node unexpanded: it failed
+          // verification, so it is a stale pointer or a recycled block.
+          // (Re-index: the pass may have grown the frontier past `it`.)
+          ScanItem& stale = frontier_[head];
+          invalidate_inner(slot_addr(stale.word),
+                           scan_inner_pool_[stale.buf]);
+          release_buf(stale);
+          const ScanRecover r =
+              recover_scan_item(stale, /*leaf_deleted=*/false, policy,
+                                &attempt);
+          if (r == ScanRecover::kRefetch) break;
+          if (r == ScanRecover::kGone) {
             head++;
             continue;
           }
-          const rdma::GlobalAddr addr = slot_addr(it.word);
-          const bool lo_b = it.lo_bounded;
-          const bool hi_b = it.hi_bounded;
-          release_buf(it);
+          if (r == ScanRecover::kRestart) {
+            restart = true;
+            break;
+          }
+          // kDrop: a whole live subtree may be lost; count + truncate.
+          stats_.scan.subtree_skips++;
+          mark_truncated();
           head++;
-          // Splice the children in at the consumed position; `node` stays
-          // valid (the freed pool slot is reused only by a later batch).
-          expand_into_frontier(addr, node, bound, high, lo_b, hi_b, head,
-                               static_cast<uint32_t>(child_prefix));
         }
       }
     }

@@ -520,11 +520,12 @@ class RemoteTree : public KvIndex {
   // Scans walk a key-ordered frontier of pending children instead of
   // recursing one subtree at a time: every round fetches the leading
   // unvisited children *across subtrees* in one doorbell batch (capped at
-  // kScanFanout), emits leaves in order from the front, and splices an
-  // expanded inner node's children in place. Stale pointers are
-  // re-resolved through the parent's slot word under the per-op
-  // RetryPolicy; exhausted budgets surface as counted skips/drops plus
-  // last_scan_truncated(), never as silent omissions.
+  // kScanFanout), expands every fetched inner node the remaining count
+  // reaches in place (the resolve pass), and emits leaves in order from
+  // the front. Stale pointers are re-resolved through the parent's slot
+  // word under the per-op RetryPolicy; exhausted budgets surface as
+  // counted skips/drops plus last_scan_truncated(), never as silent
+  // omissions.
 
   // One pending child in the frontier. Carries enough of the parent to
   // re-resolve the slot when the fetched image turns out stale.

@@ -2,7 +2,9 @@
 // concurrent-mutation recovery paths (stale frontier pointers chased, not
 // dropped; genuine deletes skipped; exhausted budgets reported as
 // truncation instead of silent success), the validated cached-root entry,
-// and the Sphinx cache-aware entry (SFC/PEC jump + widen-and-resume).
+// the level-synchronous frontier (round counts, the resolve pass's stop
+// rule), and the Sphinx cache-aware entry (SFC/PEC jump +
+// widen-and-resume).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -270,6 +272,135 @@ TEST_F(ScanRaceTest, CachedRootSavesTheStandaloneRootRtt) {
   // Cold: root fetch + frontier batches. Warm: frontier batches only.
   EXPECT_LT(warm, cold);
   EXPECT_GE(scanner_->tree_stats().scan.root_starts, 2u);
+}
+
+// ---- level-synchronous frontier ----------------------------------------------
+
+// root -> "a" (inner, depth 1) -> one full Node-4 per branch byte in
+// `branches` ("aA" holds aA1..aA4, ...), plus "b" so the root has a
+// sibling. `extra` adds more leaves under one branch (grows it past
+// Node-4). Returns the keys under "a" in key order.
+std::vector<std::string> load_fanned_tree(ArtIndex& mutator,
+                                          const std::string& branches,
+                                          char extra_branch = '\0',
+                                          int extra = 0) {
+  std::vector<std::string> keys;
+  for (const char b : branches) {
+    const int leaves = 4 + (b == extra_branch ? extra : 0);
+    for (int i = 1; i <= leaves; ++i) {
+      keys.push_back(std::string("a") + b + static_cast<char>('0' + i));
+    }
+  }
+  for (const auto& k : keys) EXPECT_TRUE(mutator.insert(k, "v:" + k));
+  EXPECT_TRUE(mutator.insert("b", "v:b"));
+  return keys;
+}
+
+// Each fetched inner node is expanded in the round its image lands, so the
+// children of all sibling subtrees fetched together ride the next doorbell
+// together. Rounds no longer grow with the number of subtrees: expanding
+// only at the consumer's head pays n + 2 batches here (10 for n = 8, 18
+// for n = 16), one per subtree; the resolve pass pays "a", the first
+// subtree (which teaches the keys-per-inner estimate), every other subtree
+// in one batch, then the leaves in ceil(4n / 32) batches.
+TEST_F(ScanRaceTest, FrontierRoundsDoNotGrowWithSubtreeCount) {
+  make_scanner(TreeConfig());
+  const std::string all = "ABCDEFGHIJKLMNOP";
+  const auto keys = load_fanned_tree(*mutator_, all);
+  std::map<uint64_t, int> expansions;
+  scanner_->hook = [&](rdma::GlobalAddr addr, const InnerImage&) {
+    expansions[addr.raw()]++;
+  };
+  for (const size_t n : {size_t{8}, size_t{16}}) {
+    KvList out;
+    scanner_->scan("a", 4 * n, &out);  // warms the cached root
+    out.clear();
+    expansions.clear();
+    const uint64_t before = scanner_->tree_stats().scan.frontier_batches;
+    scanner_->scan("a", 4 * n, &out);
+    const uint64_t batches =
+        scanner_->tree_stats().scan.frontier_batches - before;
+    EXPECT_EQ(keys_of(out), std::vector<std::string>(keys.begin(),
+                                                     keys.begin() + 4 * n));
+    EXPECT_EQ(batches, n == 8 ? 4u : 5u) << "n = " << n;
+    // "a" plus exactly the n subtrees the count reaches, once each.
+    EXPECT_EQ(expansions.size(), n + 1) << "n = " << n;
+    for (const auto& [addr, times] : expansions) EXPECT_EQ(times, 1);
+  }
+  const rdma::ScanStats& scan = scanner_->tree_stats().scan;
+  EXPECT_EQ(scan.subtree_skips, 0u);
+  EXPECT_EQ(scan.leaf_drops, 0u);
+  EXPECT_EQ(scan.truncated_scans, 0u);
+}
+
+// The resolve pass stops where the items before it cover the remaining
+// count. "aB" holds 16 leaves where the estimate learned from "aA" says 4,
+// so the batch that fetches aA's leaves also fetches "aB" and "aC"; once
+// "aB" is expanded its leaves cover the count and the fetched "aC" is
+// never expanded (nor reported to on_scan_inner).
+TEST_F(ScanRaceTest, ResolvePassStopsAtTheRequestedCount) {
+  make_scanner(TreeConfig());
+  load_fanned_tree(*mutator_, "ABCD", /*extra_branch=*/'B', /*extra=*/12);
+  KvList out;
+  scanner_->scan("a", 10, &out);  // warms the cached root
+  std::map<uint64_t, int> expansions;
+  std::vector<uint32_t> depths;
+  scanner_->hook = [&](rdma::GlobalAddr addr, const InnerImage& image) {
+    expansions[addr.raw()]++;
+    depths.push_back(image.depth());
+  };
+  const rdma::ScanStats before = scanner_->tree_stats().scan;
+  out.clear();
+  scanner_->scan("a", 10, &out);
+  const rdma::ScanStats& after = scanner_->tree_stats().scan;
+
+  const std::vector<std::string> want = {"aA1", "aA2", "aA3", "aA4", "aB1",
+                                         "aB2", "aB3", "aB4", "aB5", "aB6"};
+  EXPECT_EQ(keys_of(out), want);
+  // Batches: "a" | "aA" | aA1..aA4 + "aB" + "aC" | aB1..aB6.
+  EXPECT_EQ(after.frontier_batches - before.frontier_batches, 4u);
+  EXPECT_EQ(after.frontier_nodes - before.frontier_nodes, 14u);
+  // Expanded: "a", "aA", "aB" -- each once; the fetched "aC" is not.
+  EXPECT_EQ(depths, (std::vector<uint32_t>{1, 2, 2}));
+  EXPECT_EQ(expansions.size(), 3u);
+  for (const auto& [addr, times] : expansions) EXPECT_EQ(times, 1);
+}
+
+// A sibling subtree that goes stale while it is not at the head: "aD"
+// type-switches out of place right after "aA" is expanded, so the batch
+// that fetches aA's leaves fetches the dead "aD" alongside its live
+// siblings. The resolve pass must leave it (not expand the dead image),
+// and the head consumer must chase the live slot to the new Node-16 --
+// no key dropped, none duplicated.
+TEST_F(ScanRaceTest, StaleNonHeadSiblingIsChasedNotDropped) {
+  make_scanner(TreeConfig());
+  auto keys = load_fanned_tree(*mutator_, "ABCDEF");
+  KvList out;
+  scanner_->scan("a", 100, &out);  // warms the cached root
+  bool mutated = false;
+  std::map<uint64_t, int> expansions;
+  scanner_->hook = [&](rdma::GlobalAddr addr, const InnerImage& image) {
+    expansions[addr.raw()]++;
+    if (mutated || image.depth() != 2) return;
+    mutated = true;
+    ASSERT_TRUE(mutator_->insert("aD5", "v:aD5"));
+  };
+  out.clear();
+  scanner_->scan("a", 100, &out);
+  ASSERT_TRUE(mutated);
+
+  keys.insert(keys.begin() + 16, "aD5");
+  keys.push_back("b");
+  EXPECT_EQ(keys_of(out), keys);
+  for (const auto& [addr, times] : expansions) EXPECT_EQ(times, 1);
+  // "a", six subtrees; the dead "aD" image is never expanded.
+  EXPECT_EQ(expansions.size(), 7u);
+  const rdma::ScanStats& scan = scanner_->tree_stats().scan;
+  EXPECT_GE(scan.stale_retries, 1u);
+  EXPECT_EQ(scan.subtree_skips, 0u);
+  EXPECT_EQ(scan.leaf_drops, 0u);
+  EXPECT_EQ(scan.truncated_scans, 0u);
+  EXPECT_FALSE(scanner_->last_scan_truncated());
 }
 
 // ---- oracle semantics ---------------------------------------------------------

@@ -26,7 +26,7 @@ ycsb::RunResult run_one(ycsb::SystemKind kind, uint64_t keys_n,
                         const std::vector<std::string>& keys, char workload,
                         uint32_t workers, uint64_t ops, bool batching,
                         uint64_t cache_budget,
-                        uint64_t pec_budget = ycsb::kAutoPecBudget) {
+                        uint64_t pec_budget = ycsb::kAutoTierBudget) {
   auto cluster = make_cluster(keys_n, batching);
   ycsb::SystemSetup setup(kind, *cluster, cache_budget, pec_budget);
   ycsb::YcsbRunner runner(*cluster, setup.factory(), keys);
@@ -139,7 +139,7 @@ int run(int argc, char** argv) {
         {"PEC only (location tier)", ycsb::SystemKind::kSphinxNoFilter,
          budget * 95 / 100},
         {"SFC + PEC (70% / 25%)", ycsb::SystemKind::kSphinx,
-         ycsb::kAutoPecBudget},
+         ycsb::kAutoTierBudget},
     };
     for (const Variant& v : variants) {
       const ycsb::RunResult r = run_one(v.kind, num_keys, keys, 'C', workers,

@@ -15,8 +15,8 @@
 //              [--mem-budget=<bytes per MN>]
 //              [--faults=0.02] [--crash-rate=0.0001] [--fault-seed=42]
 //              [--json=out.json] [--trace=out.trace.json]
-//              [--pec-budget=<bytes>] [--no-pec]
-//              [--lac-budget=<bytes>] [--no-lac] [--no-scan-jump]
+//              [--pec-budget=<bytes>] [--lac-budget=<bytes>]
+//              [--no-scan-jump]
 //
 // --faults=<rate> installs the standard background fault schedule
 // (rdma/fault_injector.h) on the fabric for the measured phases: per-verb
@@ -40,12 +40,12 @@
 // it in chrome://tracing or Perfetto. One trace process per
 // (system, dataset, workload).
 // --pec-budget=<bytes> overrides the Sphinx prefix-entry-cache budget
-// (default: 25% of the CN cache budget); --no-pec disables the PEC,
-// reproducing the seed SFC-only configuration.
+// (default: 25% of the CN cache budget); --pec-budget=0 disables the PEC
+// and returns its slice to the filter.
 // --lac-budget=<bytes> overrides the Sphinx leaf-address-cache budget
-// (default: 5% of the CN cache budget, carved from the filter's share);
-// --no-lac disables the LAC, reproducing the two-tier SFC+PEC
-// configuration bit for bit.
+// (default: 25% of the CN cache budget); --lac-budget=0 disables the LAC,
+// reproducing the two-tier SFC+PEC configuration bit for bit, and adding
+// --pec-budget=0 gives the seed SFC-only configuration.
 // --pipeline-depth=<csv> runs every workload once per listed depth (e.g.
 // "1,8"). Depth 1 is the serial client, bit-identical to before pipelining
 // existed; deeper runs keep N point ops in flight per worker
@@ -230,10 +230,8 @@ int run(int argc, char** argv) {
        {"fault-seed", "fault schedule seed (default 42)"},
        {"json", "write one record per (system, dataset, workload)"},
        {"trace", "write a Chrome trace of sampled ops"},
-       {"pec-budget", "Sphinx prefix entry cache bytes"},
-       {"no-pec", "disable the prefix entry cache"},
-       {"lac-budget", "Sphinx leaf address cache bytes"},
-       {"no-lac", "disable the leaf address cache"},
+       {"pec-budget", "Sphinx prefix entry cache bytes (0 disables it)"},
+       {"lac-budget", "Sphinx leaf address cache bytes (0 disables it)"},
        {"no-scan-jump", "enter scans at the root"},
        {"pipeline-depth", "csv of pipeline depths (default 1)"}});
   const uint64_t num_keys = flags.get_u64("keys", 1000000);
@@ -280,20 +278,12 @@ int run(int argc, char** argv) {
   // A/B switch: run Sphinx scans without the SFC/PEC entry jump (root
   // descents, like the baselines). Point ops keep their caches.
   const bool scan_jump = !flags.get_bool("no-scan-jump", false);
-  // PEC sizing: --no-pec wins, then an explicit --pec-budget in bytes,
-  // else the default 25% carve-out (ycsb::SystemSetup).
+  // Location cache sizing: an explicit budget in bytes, else the default
+  // 25% carve-out each (ycsb::SystemSetup).
   const uint64_t pec_budget =
-      flags.get_bool("no-pec", false)
-          ? 0
-          : flags.has("pec-budget") ? flags.get_u64("pec-budget", 0)
-                                    : ycsb::kAutoPecBudget;
-  // LAC sizing, same precedence: --no-lac wins, then --lac-budget, else
-  // the default 25% carve-out.
+      flags.get_u64("pec-budget", ycsb::kAutoTierBudget);
   const uint64_t lac_budget =
-      flags.get_bool("no-lac", false)
-          ? 0
-          : flags.has("lac-budget") ? flags.get_u64("lac-budget", 0)
-                                    : ycsb::kAutoLacBudget;
+      flags.get_u64("lac-budget", ycsb::kAutoTierBudget);
   // Pipeline depths to sweep, comma-separated (default: serial only).
   std::vector<uint32_t> depths;
   {

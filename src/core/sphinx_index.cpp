@@ -15,14 +15,14 @@ SphinxRefs create_sphinx(mem::Cluster& cluster, uint8_t inht_initial_depth) {
 SphinxIndex::SphinxIndex(mem::Cluster& cluster, rdma::Endpoint& endpoint,
                          mem::RemoteAllocator& allocator,
                          const SphinxRefs& refs, filter::CuckooFilter* filter,
-                         filter::PrefixEntryCache* pec,
-                         filter::LeafAddressCache* lac,
+                         filter::LocationCache* pec,
+                         filter::LocationCache* lac,
                          const SphinxConfig& config)
     : RemoteTree(cluster, endpoint, allocator, refs.tree, config.tree),
       inht_(cluster, endpoint, allocator, refs.inht),
-      filter_(config.use_filter ? filter : nullptr),
-      pec_(config.use_pec ? pec : nullptr),
-      lac_(config.use_lac ? lac : nullptr),
+      filter_(filter),
+      pec_(pec),
+      lac_(lac),
       config_(config) {}
 
 bool SphinxIndex::search(Slice key, std::string* value_out) {
@@ -180,7 +180,7 @@ void SphinxIndex::probe_lac(PointRead& r) {
   reset_descent(r.walk);
   r.walk.path.emplace_back();
   r.walk.leaf.resize(r.units);
-  if (r.hot || !config_.lac_speculative_fusion || pec_ == nullptr) return;
+  if (r.hot || pec_ == nullptr) return;
 
   // Cold (low-confidence) hits hedge: find the deepest PEC-hinted inner
   // node for this key *locally* (no round trips) so its read can ride the
@@ -239,9 +239,10 @@ void SphinxIndex::finish_lac(PointRead& r, BatchOp& op) {
   }
 
   // Stale binding: the key moved (delete, delete+reinsert, out-of-place
-  // update) or the entry was torn. Purge it -- keyed on the address so a
-  // concurrent refresh survives -- and fall back to the full search, which
-  // repopulates the cache on success (staleness self-heals).
+  // update), the slot's 9-bit tag matched another key's entry, or the leaf
+  // image was torn. Purge it -- keyed on the address so a concurrent
+  // refresh survives -- and fall back to the full search, which repopulates
+  // the cache on success (staleness self-heals).
   sstats_.lac_stale++;
   lac_->invalidate_if(r.full_hash, r.leaf_addr.to48());
   if (r.hedge_len == 0) return;
@@ -381,8 +382,7 @@ bool SphinxIndex::plan_try_at(StartCursor& c, bool inht_on_miss) {
       // Low confidence (cold entry): hedge by fusing the node read with
       // the INHT group read, so a stale entry already has the group in
       // hand and recovery costs zero extra round trips.
-      c.await = hot || !config_.pec_speculative_fusion
-                    ? StartCursor::Await::kPecNode
+      c.await = hot ? StartCursor::Await::kPecNode
                     : StartCursor::Await::kPecFused;
       return true;
     }

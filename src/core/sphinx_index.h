@@ -7,11 +7,12 @@
 // longest prefix present in the filter cache, read that prefix's hash
 // entry (1 RTT), read the inner node it points to (1 RTT), then descend --
 // normally straight to the leaf (1 RTT): three round trips end to end.
-// The Prefix Entry Cache (filter/prefix_entry_cache.h) removes the first
-// hop on a hit: it caches the 8-byte hash entry itself, so the node read
-// starts immediately and a search costs two round trips. Cached entries
-// are hints only -- every fetched node is re-verified (type, depth, full
-// prefix hash, status), and stale entries are purged on validation failure.
+// The Prefix Entry Cache (an instance of filter/location_cache.h) removes
+// the first hop on a hit: it caches the 8-byte hash entry itself, so the
+// node read starts immediately and a search costs two round trips. Cached
+// entries are hints only -- every fetched node is re-verified (type, depth,
+// full 64-bit prefix hash, status), so a stale entry or a 9-bit tag
+// collision costs a read, never a wrong answer, and is purged.
 // Cold (low-confidence) entries are hedged with speculative doorbell
 // fusion: the node read and the INHT group read issue in one batch, so a
 // stale entry costs zero extra round trips.
@@ -30,31 +31,11 @@
 #include "common/metrics.h"
 #include "core/inht.h"
 #include "filter/cuckoo_filter.h"
-#include "filter/leaf_addr_cache.h"
-#include "filter/prefix_entry_cache.h"
+#include "filter/location_cache.h"
 
 namespace sphinx::core {
 
 struct SphinxConfig {
-  // Ablation A1: when false the filter cache is skipped entirely and every
-  // operation uses the parallel multi-entry INHT read.
-  bool use_filter = true;
-  // Ablation A4: when false the prefix entry cache is skipped and filter
-  // hits always pay the INHT hash-entry read.
-  bool use_pec = true;
-  // When true, a cold PEC hit fuses the speculative node read with the
-  // INHT group read in one doorbell batch (stale entry = 0 extra RTTs).
-  // When false, cold hits behave like hot ones: node read only, with a
-  // serial INHT read on validation failure.
-  bool pec_speculative_fusion = true;
-  // Ablation: when false the leaf address cache is skipped and point reads
-  // always resolve the leaf address through SFC/PEC/INHT.
-  bool use_lac = true;
-  // When true, a cold LAC hit fuses the speculative leaf read with a
-  // PEC-hinted inner-node read in one doorbell batch, so a stale leaf
-  // address already holds the fallback descent's start node in hand (stale
-  // entry = 0 extra RTTs). When false, cold hits read the leaf alone.
-  bool lac_speculative_fusion = true;
   // CPU cost model for the CN-local work unique to Sphinx.
   uint64_t filter_probe_ns = 15;
   uint64_t pec_probe_ns = 15;
@@ -134,15 +115,16 @@ inline SphinxStats& SphinxStats::operator+=(const SphinxStats& o) {
 class SphinxIndex final : public art::RemoteTree {
  public:
   // `filter` is the CN-wide succinct filter cache shared by every worker of
-  // this compute node; pass nullptr to run INHT-only (equivalent to
-  // use_filter = false). `pec` is the CN-wide prefix entry cache, likewise
-  // shared and likewise optional, and `lac` is the CN-wide leaf address
-  // cache -- the third tier, same sharing and optionality.
+  // this compute node; pass nullptr to run INHT-only (ablation A1, every
+  // operation uses the parallel multi-entry INHT read). `pec` is the
+  // CN-wide prefix entry cache and `lac` the CN-wide leaf address cache:
+  // two location caches, same sharing, each optional (nullptr skips the
+  // tier).
   SphinxIndex(mem::Cluster& cluster, rdma::Endpoint& endpoint,
               mem::RemoteAllocator& allocator, const SphinxRefs& refs,
               filter::CuckooFilter* filter,
-              filter::PrefixEntryCache* pec = nullptr,
-              filter::LeafAddressCache* lac = nullptr,
+              filter::LocationCache* pec = nullptr,
+              filter::LocationCache* lac = nullptr,
               const SphinxConfig& config = SphinxConfig());
 
   const char* name() const override { return "Sphinx"; }
@@ -175,8 +157,8 @@ class SphinxIndex final : public art::RemoteTree {
   const SphinxStats& sphinx_stats() const { return sstats_; }
   InhtClient& inht() { return inht_; }
   filter::CuckooFilter* filter() { return filter_; }
-  filter::PrefixEntryCache* pec() { return pec_; }
-  filter::LeafAddressCache* lac() { return lac_; }
+  filter::LocationCache* pec() { return pec_; }
+  filter::LocationCache* lac() { return lac_; }
 
  protected:
   bool find_start(const art::TerminatedKey& key, PathEntry* out) override;
@@ -407,8 +389,8 @@ class SphinxIndex final : public art::RemoteTree {
 
   InhtClient inht_;
   filter::CuckooFilter* filter_;
-  filter::PrefixEntryCache* pec_;
-  filter::LeafAddressCache* lac_;
+  filter::LocationCache* pec_;
+  filter::LocationCache* lac_;
   SphinxConfig config_;
   SphinxStats sstats_;
   std::vector<uint64_t> hash_scratch_;  // cold LAC hits' prefix hashes

@@ -469,13 +469,26 @@ bool RaceClient::split_segment(uint64_t hash) {
   }
 
   // Publish the cleaned original segment (also unlocks it).
-  endpoint_.write(rdma::GlobalAddr(table_.mn, seg_offset), image.data(),
-                  kSegmentBytes, rdma::FaultSite::kSplitPublish);
+  publish_segment(seg_offset, image);
 
   unlock_directory();
   refresh_directory();
   stats_.splits++;
   return true;
+}
+
+void RaceClient::publish_segment(uint64_t seg_offset,
+                                 const std::vector<uint64_t>& image) {
+  // A multi-word WRITE lands word by word, so the header goes last, in the
+  // same doorbell batch: an inserter that sees the new unlocked header also
+  // sees every group of the new image, and its slot CAS cannot land in a
+  // group the rest of this write would then overwrite.
+  rdma::DoorbellBatch batch(endpoint_);
+  batch.add_write(rdma::GlobalAddr(table_.mn, seg_offset + 8), &image[1],
+                  kSegmentBytes - 8, rdma::FaultSite::kSplitPublish);
+  batch.add_write(rdma::GlobalAddr(table_.mn, seg_offset), &image[0], 8,
+                  rdma::FaultSite::kSplitPublish);
+  batch.execute();
 }
 
 bool RaceClient::lock_directory() {
@@ -656,8 +669,7 @@ void RaceClient::recover_segment(uint64_t seg_offset, uint64_t locked_header) {
     }
     batch.execute();
   }
-  endpoint_.write(header_addr, image.data(), kSegmentBytes,
-                  rdma::FaultSite::kSplitPublish);
+  publish_segment(seg_offset, image);
   stats_.recovery.lock_reclaims++;
   stats_.recovery.lock_rollforwards++;
   refresh_directory();

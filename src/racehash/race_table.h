@@ -169,6 +169,8 @@ class RaceClient {
   // happened (or someone else's concurrent split was detected).
   bool split_segment(uint64_t hash);
   bool double_directory();
+  // Writes a split's cleaned segment `image` back, header (unlock) last.
+  void publish_segment(uint64_t seg_offset, const std::vector<uint64_t>& image);
 
   // ---- crash-tolerant locking ----------------------------------------------
 

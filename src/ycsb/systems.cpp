@@ -39,12 +39,12 @@ SystemSetup::SystemSetup(SystemKind kind, mem::Cluster& cluster,
       // address cache takes 25%, and ~5% stays reserved for the INHT
       // directory caches (the paper sizes those at 2-5% of the filter
       // budget). Each cache's slice returns to the filter when that tier
-      // is disabled, so --no-lac reproduces the pre-LAC 70/25 split (and
-      // --no-lac --no-pec the seed's 95%) bit for bit.
-      const uint64_t pec_bytes = pec_budget_bytes == kAutoPecBudget
+      // is disabled, so --lac-budget=0 reproduces the pre-LAC 70/25 split
+      // (and adding --pec-budget=0 the seed's 95%) bit for bit.
+      const uint64_t pec_bytes = pec_budget_bytes == kAutoTierBudget
                                      ? cache_budget_bytes * 25 / 100
                                      : pec_budget_bytes;
-      const uint64_t lac_bytes = lac_budget_bytes == kAutoLacBudget
+      const uint64_t lac_bytes = lac_budget_bytes == kAutoTierBudget
                                      ? cache_budget_bytes * 25 / 100
                                      : lac_budget_bytes;
       const uint64_t filter_share =
@@ -53,10 +53,10 @@ SystemSetup::SystemSetup(SystemKind kind, mem::Cluster& cluster,
       for (uint32_t cn = 0; cn < num_cns; ++cn) {
         filters_.push_back(filter::CuckooFilter::with_budget(filter_bytes));
         if (pec_bytes > 0) {
-          pecs_.push_back(filter::PrefixEntryCache::with_budget(pec_bytes));
+          pecs_.push_back(filter::LocationCache::with_budget(pec_bytes));
         }
         if (lac_bytes > 0) {
-          lacs_.push_back(filter::LeafAddressCache::with_budget(lac_bytes));
+          lacs_.push_back(filter::LocationCache::with_budget(lac_bytes));
         }
       }
       break;
@@ -68,14 +68,14 @@ SystemSetup::SystemSetup(SystemKind kind, mem::Cluster& cluster,
       // Auto means "pure INHT" here (the A1 ablation baseline); an explicit
       // budget yields the PEC-only (or PEC+LAC) variant of the ablation.
       const uint64_t pec_bytes =
-          pec_budget_bytes == kAutoPecBudget ? 0 : pec_budget_bytes;
+          pec_budget_bytes == kAutoTierBudget ? 0 : pec_budget_bytes;
       const uint64_t lac_bytes =
-          lac_budget_bytes == kAutoLacBudget ? 0 : lac_budget_bytes;
+          lac_budget_bytes == kAutoTierBudget ? 0 : lac_budget_bytes;
       for (uint32_t cn = 0; cn < num_cns && pec_bytes > 0; ++cn) {
-        pecs_.push_back(filter::PrefixEntryCache::with_budget(pec_bytes));
+        pecs_.push_back(filter::LocationCache::with_budget(pec_bytes));
       }
       for (uint32_t cn = 0; cn < num_cns && lac_bytes > 0; ++cn) {
-        lacs_.push_back(filter::LeafAddressCache::with_budget(lac_bytes));
+        lacs_.push_back(filter::LocationCache::with_budget(lac_bytes));
       }
       break;
     }
@@ -106,21 +106,15 @@ SystemSetup::SystemSetup(SystemKind kind, mem::Cluster& cluster,
 std::unique_ptr<KvIndex> SystemSetup::make_client(
     uint32_t cn, rdma::Endpoint& endpoint, mem::RemoteAllocator& allocator) {
   switch (kind_) {
-    case SystemKind::kSphinx: {
-      core::SphinxConfig config;
-      config.tree.scan_jump = scan_jump_;
-      config.tree.replicate_root = root_replicas_;
-      return std::make_unique<core::SphinxIndex>(
-          cluster_, endpoint, allocator, *sphinx_refs_, filters_[cn].get(),
-          pec(cn), lac(cn), config);
-    }
+    case SystemKind::kSphinx:
     case SystemKind::kSphinxNoFilter: {
+      // A tier this setup did not build is nullptr, which skips it (the
+      // NoFilter kind builds no filter).
       core::SphinxConfig config;
-      config.use_filter = false;
       config.tree.scan_jump = scan_jump_;
       config.tree.replicate_root = root_replicas_;
       return std::make_unique<core::SphinxIndex>(
-          cluster_, endpoint, allocator, *sphinx_refs_, nullptr, pec(cn),
+          cluster_, endpoint, allocator, *sphinx_refs_, filter(cn), pec(cn),
           lac(cn), config);
     }
     case SystemKind::kSmart:

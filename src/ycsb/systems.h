@@ -11,8 +11,7 @@
 #include "bptree/bptree.h"
 #include "core/sphinx_index.h"
 #include "filter/cuckoo_filter.h"
-#include "filter/leaf_addr_cache.h"
-#include "filter/prefix_entry_cache.h"
+#include "filter/location_cache.h"
 #include "smart/node_cache.h"
 #include "ycsb/runner.h"
 
@@ -34,14 +33,11 @@ constexpr uint64_t kDefaultCacheBudget = 20ull << 20;   // 20 MB
 constexpr uint64_t kLargeCacheBudget = 200ull << 20;    // 200 MB (SMART+C)
 constexpr uint64_t kPaperDatasetKeys = 60'000'000;      // paper: 60 M keys
 
-// Sentinel for SystemSetup's pec_budget_bytes: carve the default prefix
-// entry cache share out of the overall CN cache budget (Sphinx only).
-constexpr uint64_t kAutoPecBudget = ~0ull;
-
-// Same idiom for lac_budget_bytes: carve the default leaf address cache
-// share out of the overall CN cache budget (Sphinx only; the NoFilter
-// ablation keeps auto = off so A1 stays a pure INHT baseline).
-constexpr uint64_t kAutoLacBudget = ~0ull;
+// Sentinel for SystemSetup's pec_budget_bytes and lac_budget_bytes: carve
+// that location cache's default share out of the overall CN cache budget
+// (Sphinx only; the NoFilter ablation keeps auto = off so A1 stays a pure
+// INHT baseline).
+constexpr uint64_t kAutoTierBudget = ~0ull;
 
 // Scales the paper's absolute CN-side cache budget to a scaled-down
 // dataset. The paper pairs 20 MB caches with 60 M keys (4.2% of the u64
@@ -58,20 +54,20 @@ class SystemSetup {
  public:
   // Creates the remote structures for `kind` on `cluster` and the per-CN
   // shared caches sized to `cache_budget_bytes`. `pec_budget_bytes`
-  // controls the Sphinx prefix entry cache: kAutoPecBudget takes the
+  // controls the Sphinx prefix entry cache: kAutoTierBudget takes the
   // default 25% slice of the overall budget (5% stays reserved for INHT
   // directory caches), 0 disables the PEC (the seed SFC-only
   // configuration), and any other value is an absolute byte budget --
   // e.g. the PEC-only ablation passes the whole cache budget here with
   // kind = kSphinxNoFilter. `lac_budget_bytes` controls the leaf address
-  // cache the same way: kAutoLacBudget takes a 25% slice, 0 disables the
+  // cache the same way: kAutoTierBudget takes a 25% slice, 0 disables the
   // LAC (pre-LAC behavior bit for bit), any other value is absolute. The
   // filter keeps whatever the enabled tiers leave (45% with all three,
   // 70% pre-LAC, 95% seed).
   SystemSetup(SystemKind kind, mem::Cluster& cluster,
               uint64_t cache_budget_bytes = kDefaultCacheBudget,
-              uint64_t pec_budget_bytes = kAutoPecBudget,
-              uint64_t lac_budget_bytes = kAutoLacBudget);
+              uint64_t pec_budget_bytes = kAutoTierBudget,
+              uint64_t lac_budget_bytes = kAutoTierBudget);
 
   const std::string& name() const { return name_; }
   SystemKind kind() const { return kind_; }
@@ -99,10 +95,10 @@ class SystemSetup {
   filter::CuckooFilter* filter(uint32_t cn) {
     return cn < filters_.size() ? filters_[cn].get() : nullptr;
   }
-  filter::PrefixEntryCache* pec(uint32_t cn) {
+  filter::LocationCache* pec(uint32_t cn) {
     return cn < pecs_.size() ? pecs_[cn].get() : nullptr;
   }
-  filter::LeafAddressCache* lac(uint32_t cn) {
+  filter::LocationCache* lac(uint32_t cn) {
     return cn < lacs_.size() ? lacs_[cn].get() : nullptr;
   }
   smart::NodeCache* node_cache(uint32_t cn) {
@@ -124,8 +120,8 @@ class SystemSetup {
   bptree::BpTreeRef bptree_ref_;
   std::unique_ptr<core::SphinxRefs> sphinx_refs_;
   std::vector<std::unique_ptr<filter::CuckooFilter>> filters_;      // per CN
-  std::vector<std::unique_ptr<filter::PrefixEntryCache>> pecs_;     // per CN
-  std::vector<std::unique_ptr<filter::LeafAddressCache>> lacs_;     // per CN
+  std::vector<std::unique_ptr<filter::LocationCache>> pecs_;        // per CN
+  std::vector<std::unique_ptr<filter::LocationCache>> lacs_;        // per CN
   std::vector<std::unique_ptr<smart::NodeCache>> caches_;           // per CN
 };
 

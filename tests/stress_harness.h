@@ -65,13 +65,13 @@ struct StressOptions {
   // Restricts crash injection to one protocol step (kAny = every tagged
   // site), so each crash window can be stressed in isolation.
   rdma::FaultSite crash_site = rdma::FaultSite::kAny;
-  // Sphinx prefix entry cache budget (kAutoPecBudget = default 25% carve,
+  // Sphinx prefix entry cache budget (kAutoTierBudget = default 25% carve,
   // 0 = disabled); see ycsb::SystemSetup.
-  uint64_t pec_budget = ycsb::kAutoPecBudget;
-  // Sphinx leaf address cache budget (kAutoLacBudget = default 25% carve,
+  uint64_t pec_budget = ycsb::kAutoTierBudget;
+  // Sphinx leaf address cache budget (kAutoTierBudget = default 25% carve,
   // 0 = disabled). The default keeps the LAC in every Sphinx stress mix so
   // the speculative-read path soaks under the same schedules as the rest.
-  uint64_t lac_budget = ycsb::kAutoLacBudget;
+  uint64_t lac_budget = ycsb::kAutoTierBudget;
   // Point ops kept in flight per worker (KvIndex::execute_batch). 1 runs
   // the serial op loop; deeper values plan a batch of ops up front and
   // resolve every outcome -- bracket checks, oracle updates, crash

@@ -471,12 +471,10 @@ TEST(FaultInjection, InjectedInhtFailuresDriveSphinxRetryPaths) {
   // A PEC-less client sharing the same (stale) filter still exercises the
   // false-positive reject path: the filter admits the prefixes, the INHT
   // has no entries for them, and the search falls back cleanly.
-  core::SphinxConfig no_pec;
-  no_pec.use_pec = false;
   rdma::Endpoint ep2(cluster->fabric(), 0, true);
   mem::RemoteAllocator alloc2(*cluster, ep2);
   core::SphinxIndex bare(*cluster, ep2, alloc2, *setup.sphinx_refs(),
-                         setup.filter(0), nullptr, nullptr, no_pec);
+                         setup.filter(0));
   for (const std::string& k : keys) {
     ASSERT_TRUE(bare.search(k, &v)) << k;
     EXPECT_EQ(v, "v:" + k);

@@ -1,6 +1,5 @@
 // Unit tests for the succinct filter cache substrate (cuckoo filter with
-// hotness-bit second-chance eviction) and the prefix entry cache (the
-// second, location tier of the CN cache).
+// hotness-bit second-chance eviction).
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -8,7 +7,6 @@
 
 #include "common/hash.h"
 #include "filter/cuckoo_filter.h"
-#include "filter/prefix_entry_cache.h"
 
 namespace sphinx::filter {
 namespace {
@@ -185,160 +183,6 @@ TEST(CuckooFilter, StatsReset) {
   f.reset_stats();
   EXPECT_EQ(f.stats().inserts, 0u);
   EXPECT_EQ(f.stats().insert_dupes, 0u);
-}
-
-// ---- prefix entry cache -----------------------------------------------
-
-TEST(PrefixEntryCache, InsertLookupRoundTrip) {
-  PrefixEntryCache pec(1 << 8);
-  uint64_t payload = 0;
-  bool was_hot = true;
-  EXPECT_FALSE(pec.lookup(splitmix64(7), &payload, &was_hot));
-  pec.insert(splitmix64(7), 0x1234);
-  ASSERT_TRUE(pec.lookup(splitmix64(7), &payload, &was_hot));
-  EXPECT_EQ(payload, 0x1234u);
-  EXPECT_FALSE(was_hot);  // new entries start cold
-  // The first lookup marked it hot.
-  ASSERT_TRUE(pec.lookup(splitmix64(7), &payload, &was_hot));
-  EXPECT_TRUE(was_hot);
-  EXPECT_EQ(pec.stats().hits, 2u);
-  EXPECT_EQ(pec.stats().misses, 1u);
-}
-
-TEST(PrefixEntryCache, HashZeroIsUsable) {
-  // Hash 0 collides with the empty-tag sentinel and must be remapped, not
-  // lost (the remap trick shared with the cuckoo filter's fingerprint 0).
-  PrefixEntryCache pec(1 << 4);
-  uint64_t payload = 0;
-  bool was_hot = false;
-  pec.insert(0, 0x77);
-  ASSERT_TRUE(pec.lookup(0, &payload, &was_hot));
-  EXPECT_EQ(payload, 0x77u);
-}
-
-TEST(PrefixEntryCache, InPlaceRefreshKeepsHotness) {
-  PrefixEntryCache pec(1 << 4);
-  uint64_t payload = 0;
-  bool was_hot = false;
-  pec.insert(splitmix64(1), 0xaa);
-  ASSERT_TRUE(pec.lookup(splitmix64(1), &payload, &was_hot));  // now hot
-  pec.insert(splitmix64(1), 0xbb);  // refresh (e.g. after a type switch)
-  ASSERT_TRUE(pec.lookup(splitmix64(1), &payload, &was_hot));
-  EXPECT_EQ(payload, 0xbbu);
-  EXPECT_TRUE(was_hot);  // refresh must not demote a validated-hot entry
-  EXPECT_EQ(pec.size(), 1u);
-}
-
-TEST(PrefixEntryCache, InvalidateIfRequiresMatchingAddress) {
-  PrefixEntryCache pec(1 << 4);
-  uint64_t payload = 0;
-  bool was_hot = false;
-  pec.insert(splitmix64(2), 0x500);
-  // Wrong address: a concurrent refresh already replaced the entry, the
-  // late invalidation must not drop the newer mapping.
-  EXPECT_FALSE(pec.invalidate_if(splitmix64(2), 0x999));
-  ASSERT_TRUE(pec.lookup(splitmix64(2), &payload, &was_hot));
-  // Matching address purges.
-  EXPECT_TRUE(pec.invalidate_if(splitmix64(2), 0x500));
-  EXPECT_FALSE(pec.lookup(splitmix64(2), &payload, &was_hot));
-  EXPECT_EQ(pec.stats().invalidations, 1u);
-}
-
-// Hashes that all land in the same set of `pec` (mirrors set_index()).
-std::vector<uint64_t> same_set_hashes(const PrefixEntryCache& pec, size_t n) {
-  std::vector<uint64_t> out;
-  for (uint64_t i = 1; out.size() < n; ++i) {
-    const uint64_t h = splitmix64(i);
-    if ((splitmix64(h) & (pec.num_sets() - 1)) == 0) out.push_back(h);
-  }
-  return out;
-}
-
-TEST(PrefixEntryCache, SecondChanceEvictsColdEntriesFirst) {
-  PrefixEntryCache pec(2);
-  const auto keys = same_set_hashes(pec, PrefixEntryCache::kWays + 1);
-  uint64_t payload = 0;
-  bool was_hot = false;
-  // Fill one set, then touch all but one entry so exactly one stays cold.
-  for (uint64_t i = 0; i < PrefixEntryCache::kWays; ++i) {
-    pec.insert(keys[i], 0x100 + i);
-  }
-  for (uint64_t i = 1; i < PrefixEntryCache::kWays; ++i) {
-    ASSERT_TRUE(pec.lookup(keys[i], &payload, &was_hot));
-  }
-  // Overflow insert must displace the cold entry, never a hot one.
-  pec.insert(keys[PrefixEntryCache::kWays], 0x999);
-  for (uint64_t i = 1; i < PrefixEntryCache::kWays; ++i) {
-    EXPECT_TRUE(pec.lookup(keys[i], &payload, &was_hot)) << i;
-  }
-  EXPECT_FALSE(pec.lookup(keys[0], &payload, &was_hot));
-  EXPECT_GT(pec.stats().evictions, 0u);
-}
-
-TEST(PrefixEntryCache, AllHotSetStillAcceptsInserts) {
-  PrefixEntryCache pec(2);
-  const auto keys = same_set_hashes(pec, PrefixEntryCache::kWays + 1);
-  uint64_t payload = 0;
-  bool was_hot = false;
-  for (uint64_t i = 0; i < PrefixEntryCache::kWays; ++i) {
-    pec.insert(keys[i], i + 1);
-    ASSERT_TRUE(pec.lookup(keys[i], &payload, &was_hot));  // all hot
-  }
-  pec.insert(keys[PrefixEntryCache::kWays], 0x42);
-  ASSERT_TRUE(
-      pec.lookup(keys[PrefixEntryCache::kWays], &payload, &was_hot));
-  EXPECT_EQ(payload, 0x42u);
-  EXPECT_EQ(pec.size(), PrefixEntryCache::kWays);
-}
-
-TEST(PrefixEntryCache, WithBudgetRespectsBytes) {
-  for (uint64_t budget : {4096ull, 64ull << 10, 1ull << 20}) {
-    auto pec = PrefixEntryCache::with_budget(budget);
-    EXPECT_LE(pec->memory_bytes(), budget);
-    EXPECT_GE(pec->memory_bytes(), budget / 4);
-  }
-}
-
-TEST(PrefixEntryCache, ConcurrentMixedOpsStayCoherent) {
-  // Hammer one small cache from several threads mixing inserts, lookups
-  // and invalidations. The assertion is the torn-pair safety contract: a
-  // successful lookup never returns payload 0, never leaks the hot bit,
-  // and never returns a value no thread wrote. (A tag transiently paired
-  // with *another* key's payload is allowed -- remote validation catches
-  // it -- so the check is membership in the written set, not per-key
-  // equality.)
-  PrefixEntryCache pec(1 << 4);
-  constexpr int kThreads = 4;
-  constexpr uint64_t kKeys = 64;
-  std::atomic<uint64_t> bogus{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (uint64_t round = 0; round < 4000; ++round) {
-        const uint64_t k = splitmix64(t * 4000 + round) % kKeys;
-        const uint64_t payload = 0x1000 + k;  // per-key canonical payload
-        switch ((t + round) % 3) {
-          case 0:
-            pec.insert(k, payload);
-            break;
-          case 1: {
-            uint64_t got = 0;
-            bool hot = false;
-            if (pec.lookup(k, &got, &hot) &&
-                (got < 0x1000 || got >= 0x1000 + kKeys)) {
-              bogus.fetch_add(1);
-            }
-            break;
-          }
-          default:
-            pec.invalidate_if(k, payload & PrefixEntryCache::kAddrMask);
-            break;
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(bogus.load(), 0u);
 }
 
 }  // namespace

@@ -190,7 +190,7 @@ TEST(Attribution, SumsToRoundTripsForEverySystemAndWorkload) {
 // ---- LAC off == pre-LAC behavior ------------------------------------------------
 
 TEST(Attribution, NoLacRunIsPreLacBitForBit) {
-  // With the leaf address cache disabled (--no-lac), Sphinx must behave
+  // With the leaf address cache disabled (--lac-budget=0), Sphinx must behave
   // exactly as it did before the LAC existed: the filter gets its pre-LAC
   // 70% budget share back, no round trip is ever tagged with the LAC's
   // fused-read phase, and a fixed-seed single-worker run is deterministic.
@@ -199,7 +199,7 @@ TEST(Attribution, NoLacRunIsPreLacBitForBit) {
   auto run_once = [&](uint64_t lac_budget) {
     auto cluster = testing::make_test_cluster(64ull << 20);
     ycsb::SystemSetup setup(ycsb::SystemKind::kSphinx, *cluster, budget,
-                            ycsb::kAutoPecBudget, lac_budget);
+                            ycsb::kAutoTierBudget, lac_budget);
     if (lac_budget == 0) {
       EXPECT_EQ(setup.lac(0), nullptr);
       // The LAC's 25% slice returns to the filter: same sizing as the
@@ -235,7 +235,7 @@ TEST(Attribution, NoLacRunIsPreLacBitForBit) {
 
   // The zero check is not vacuous: the same run with the LAC enabled does
   // route warm reads through the fused phase, and saves round trips.
-  const ycsb::RunResult on = run_once(ycsb::kAutoLacBudget);
+  const ycsb::RunResult on = run_once(ycsb::kAutoTierBudget);
   EXPECT_GT(on.net.rtts_by_phase[lac_phase], 0u);
   EXPECT_LT(on.net.round_trips, off_a.net.round_trips);
 }

@@ -127,7 +127,7 @@ TEST_F(SphinxTest, WarmSearchTakesThreeRoundTrips) {
 TEST_F(SphinxTest, WarmSearchTakesTwoRoundTripsWithPec) {
   // With the prefix entry cache warm, the hash-entry read disappears: a
   // search is node read + leaf read, two round trips.
-  auto pec = filter::PrefixEntryCache::with_budget(1 << 20);
+  auto pec = filter::LocationCache::with_budget(1 << 20);
   rdma::Endpoint ep(cluster_->fabric(), 0, true);
   mem::RemoteAllocator alloc(*cluster_, ep);
   SphinxIndex warm(*cluster_, ep, alloc, refs_, filter_.get(), pec.get());
@@ -158,7 +158,7 @@ TEST_F(SphinxTest, ColdPecHitFusesSpeculativeReadIntoTwoRoundTrips) {
   // A PEC entry seeded by node creation (never looked up -> cold) is
   // hedged: node read + INHT group read go out in one doorbell batch.
   // When the entry is fresh the search still completes in two round trips.
-  auto pec = filter::PrefixEntryCache::with_budget(1 << 18);
+  auto pec = filter::LocationCache::with_budget(1 << 18);
   rdma::Endpoint ep_a(cluster_->fabric(), 0, true);
   mem::RemoteAllocator alloc_a(*cluster_, ep_a);
   SphinxIndex writer(*cluster_, ep_a, alloc_a, refs_, filter_.get(),
@@ -191,7 +191,7 @@ TEST_F(SphinxTest, StaleColdPecEntryCostsNoExtraRoundTrip) {
   // INHT group already holds the fresh payload, so recovery needs no
   // additional INHT round trip -- total three RTTs, the same as a search
   // with no PEC at all.
-  auto pec = filter::PrefixEntryCache::with_budget(1 << 18);
+  auto pec = filter::LocationCache::with_budget(1 << 18);
   rdma::Endpoint ep_a(cluster_->fabric(), 0, true);
   mem::RemoteAllocator alloc_a(*cluster_, ep_a);
   SphinxIndex writer(*cluster_, ep_a, alloc_a, refs_, filter_.get(),
@@ -202,12 +202,9 @@ TEST_F(SphinxTest, StaleColdPecEntryCostsNoExtraRoundTrip) {
   // A PEC-less client grows the node past Node4 so it is copied to a new
   // address and the old one is marked invalid. The shared PEC entry (cold,
   // nobody ever looked it up) now points at a dead node.
-  SphinxConfig bare_config;
-  bare_config.use_filter = false;
   rdma::Endpoint ep_c(cluster_->fabric(), 1, true);
   mem::RemoteAllocator alloc_c(*cluster_, ep_c);
-  SphinxIndex grower(*cluster_, ep_c, alloc_c, refs_, nullptr, nullptr, nullptr,
-                     bare_config);
+  SphinxIndex grower(*cluster_, ep_c, alloc_c, refs_, nullptr);
   for (char c = 'C'; c <= 'J'; ++c) {
     ASSERT_TRUE(grower.insert(std::string("fusepfx:") + c + "rest", "vg"));
   }
@@ -245,7 +242,7 @@ TEST_F(SphinxTest, PecStaleEntriesSelfHealAfterTypeSwitches) {
   // through type switches, then verify the first client's searches (a)
   // stay correct and (b) purge-and-refresh each stale entry exactly once:
   // a second pass over the same keys finds no new staleness.
-  auto pec = filter::PrefixEntryCache::with_budget(1 << 20);
+  auto pec = filter::LocationCache::with_budget(1 << 20);
   rdma::Endpoint ep_a(cluster_->fabric(), 0, true);
   mem::RemoteAllocator alloc_a(*cluster_, ep_a);
   SphinxIndex client(*cluster_, ep_a, alloc_a, refs_, filter_.get(),
@@ -263,12 +260,9 @@ TEST_F(SphinxTest, PecStaleEntriesSelfHealAfterTypeSwitches) {
     ASSERT_TRUE(client.search(k, &v));  // warm + mark entries hot
   }
 
-  SphinxConfig bare_config;
-  bare_config.use_filter = false;
   rdma::Endpoint ep_c(cluster_->fabric(), 1, true);
   mem::RemoteAllocator alloc_c(*cluster_, ep_c);
-  SphinxIndex churner(*cluster_, ep_c, alloc_c, refs_, nullptr, nullptr, nullptr,
-                      bare_config);
+  SphinxIndex churner(*cluster_, ep_c, alloc_c, refs_, nullptr);
   for (int p = 0; p < 20; ++p) {
     for (char c = 'c'; c <= 'j'; ++c) {
       const std::string k =
@@ -347,12 +341,9 @@ TEST_F(SphinxTest, FilterMissFallsBackToParallelRead) {
 }
 
 TEST_F(SphinxTest, NoFilterModeWorks) {
-  SphinxConfig config;
-  config.use_filter = false;
   rdma::Endpoint ep2(cluster_->fabric(), 1, true);
   mem::RemoteAllocator alloc2(*cluster_, ep2);
-  SphinxIndex nofilter(*cluster_, ep2, alloc2, refs_, nullptr, nullptr, nullptr,
-                       config);
+  SphinxIndex nofilter(*cluster_, ep2, alloc2, refs_, nullptr);
   for (int i = 0; i < 300; ++i) {
     ASSERT_TRUE(nofilter.insert("nf" + std::to_string(i), "v"));
   }
@@ -372,11 +363,9 @@ TEST_F(SphinxTest, InhtTracksCreatedInnerNodes) {
   EXPECT_GT(index_->inht().aggregated_stats().inserts, 0u);
   // Another client relying purely on the INHT (filter disabled) can find
   // every key without root traversals once entries exist.
-  SphinxConfig config;
-  config.use_filter = false;
   rdma::Endpoint ep2(cluster_->fabric(), 2, true);
   mem::RemoteAllocator alloc2(*cluster_, ep2);
-  SphinxIndex peer(*cluster_, ep2, alloc2, refs_, nullptr, nullptr, nullptr, config);
+  SphinxIndex peer(*cluster_, ep2, alloc2, refs_, nullptr);
   std::string v;
   for (const auto& k : keys) {
     ASSERT_TRUE(peer.search(k, &v)) << k;
@@ -494,8 +483,8 @@ struct PipelineWorld {
     refs = create_sphinx(*cluster);
     if (cache_budget > 0) {
       filter = filter::CuckooFilter::with_budget(cache_budget);
-      pec = filter::PrefixEntryCache::with_budget(cache_budget);
-      lac = filter::LeafAddressCache::with_budget(cache_budget);
+      pec = filter::LocationCache::with_budget(cache_budget);
+      lac = filter::LocationCache::with_budget(cache_budget);
     }
     reader_ep = std::make_unique<rdma::Endpoint>(cluster->fabric(), 0, true);
     reader_alloc = std::make_unique<mem::RemoteAllocator>(*cluster, *reader_ep);
@@ -512,8 +501,8 @@ struct PipelineWorld {
   std::unique_ptr<mem::Cluster> cluster;
   SphinxRefs refs;
   std::unique_ptr<filter::CuckooFilter> filter;
-  std::unique_ptr<filter::PrefixEntryCache> pec;
-  std::unique_ptr<filter::LeafAddressCache> lac;
+  std::unique_ptr<filter::LocationCache> pec;
+  std::unique_ptr<filter::LocationCache> lac;
   std::unique_ptr<rdma::Endpoint> reader_ep;
   std::unique_ptr<mem::RemoteAllocator> reader_alloc;
   std::unique_ptr<SphinxIndex> reader;
